@@ -4,10 +4,12 @@ The compiled Cython kernel is used when its module imported successfully and
 the environment variable WEISSBENCH_PURE_PYTHON is unset or empty; otherwise
 the NumPy implementation takes over. Both satisfy the same contract and agree
 to roundoff, so backend choice never changes reported results beyond the
-documented error estimates.
+documented error estimates. powcos_contributions, the per-panel form used
+by the vectorized period table, exists only in NumPy.
 """
 import os
 
+from .powcos_np import powcos_contributions
 from .powcos_np import powcos_panels as powcos_panels_np
 
 BACKEND = "python"
@@ -24,4 +26,5 @@ if _ext is not None:
 else:
     powcos_panels = powcos_panels_np
 
-__all__ = ["BACKEND", "powcos_panels", "powcos_panels_np"]
+__all__ = ["BACKEND", "powcos_contributions", "powcos_panels",
+           "powcos_panels_np"]

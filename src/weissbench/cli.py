@@ -7,6 +7,7 @@ configuration (including the seed): no timestamps, fixed grids, fixed
 formats.
 """
 import argparse
+import functools
 import math
 import os
 import sys
@@ -70,9 +71,15 @@ def _validate_window(args):
 
 
 def _guarded(name, fn):
-    """Run one check body; computational failures become failed checks."""
+    """Run one check body; computational failures become failed checks.
+
+    DomainError is a configuration error, not a computational failure, so
+    it propagates to main and exits 2.
+    """
     try:
         return fn()
+    except DomainError:
+        raise
     except WeissbenchError as exc:
         return [CheckResult(name, False, -1.0, f"{type(exc).__name__}: {exc}")]
 
@@ -372,21 +379,17 @@ def run(args):
     _validate_window(args)
     QuadratureSpec(relative_tolerance=args.tol)
     params = ce.CounterexampleParams(args.q)
-    if args.command == "orbit":
-        checks = _suite_orbit(args, outdir)
-    elif args.command == "weiss-scan":
-        checks = _suite_weiss_scan(args, outdir)
-    elif args.command == "counterexample":
-        checks = _suite_counterexample(args, outdir)
-    elif args.command == "bessel-check":
-        checks = _suite_bessel(args, outdir)
-    else:
-        checks = _suite_lorentz_closed_forms(args, outdir)
-        checks += _suite_laplace_identity(args, outdir)
-        checks += _suite_weiss_scan(args, outdir)
-        checks += _suite_orbit(args, outdir)
-        checks += _suite_counterexample(args, outdir)
-        checks += _suite_bessel(args, outdir)
+    suites = (("lorentz-closed-forms", _suite_lorentz_closed_forms),
+              ("laplace-identity", _suite_laplace_identity),
+              ("weiss-scan", _suite_weiss_scan),
+              ("orbit", _suite_orbit),
+              ("counterexample", _suite_counterexample),
+              ("bessel-check", _suite_bessel))
+    checks = []
+    for name, suite in suites:
+        if args.command in (name, "full-report"):
+            checks += _guarded(f"{name}-suite",
+                               functools.partial(suite, args, outdir))
     write_summary(os.path.join(outdir, "summary.json"),
                   summary_payload(params, checks))
     failed = [c for c in checks if not c.passed]

@@ -86,16 +86,20 @@ class StepFunction:
             header = next(reader, None)
             if header != ["breakpoint", "value"]:
                 raise DomainError(f"expected header 'breakpoint,value' in {path}")
-            bs, vs = [], []
-            for row in reader:
-                if not row:
-                    continue
-                bs.append(float(row[0]))
-                if row[1] != "":
-                    vs.append(float(row[1]))
-        if len(bs) != len(vs) + 1:
+            rows = [row for row in reader if row]
+        if any(len(row) != 2 for row in rows):
+            raise DomainError(f"malformed step data in {path}: every row "
+                              "needs exactly two cells")
+        if not rows or any(row[1] == "" for row in rows[:-1]) \
+                or rows[-1][1] != "":
             raise DomainError(f"malformed step data in {path}: the final row "
                               "must carry an empty value cell")
+        try:
+            bs = [float(row[0]) for row in rows]
+            vs = [float(row[1]) for row in rows[:-1]]
+        except ValueError as exc:
+            raise DomainError(f"malformed step data in {path}: {exc}") \
+                from None
         return cls(bs, vs)
 
 
@@ -155,7 +159,10 @@ def lorentz_norm(f, idx):
     over the non-increasingly sorted segments; for q = inf it returns
     max_i v_i * end_i^{1/p}, the supremum of t^{1/p} f*(t). Values are
     normalized by a power of two before exponentiation so that rescaling
-    the input by any power of two rescales the result exactly.
+    the input by any power of two rescales the result exactly. Raises
+    DomainError when the evaluation overflows the float range: a total
+    length whose cumulative sum is not finite, or powers of the ends or
+    values that are not.
     """
     if not isinstance(idx, LorentzIndex):
         idx = LorentzIndex(*idx)
@@ -169,12 +176,18 @@ def lorentz_norm(f, idx):
     u = v[order] / scale
     w = f.lengths[order]
     ends = np.cumsum(w)
-    if q == math.inf:
-        return scale * float(np.max(u * ends ** (1.0 / p)))
-    starts = ends - w
-    e = q / p
-    s = float(np.sum(u**q * ((p / q) * (ends**e - starts**e))))
-    return scale * s ** (1.0 / q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if q == math.inf:
+            norm = scale * float(np.max(u * ends ** (1.0 / p)))
+        else:
+            starts = ends - w
+            e = q / p
+            s = float(np.sum(u**q * ((p / q) * (ends**e - starts**e))))
+            norm = scale * s ** (1.0 / q)
+    if not math.isfinite(norm):
+        raise DomainError(f"L^({p},{q}) evaluation overflows the float range "
+                          f"(total length {ends[-1]:.6g})")
+    return norm
 
 
 def holder_pairing(f, g):

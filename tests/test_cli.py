@@ -9,7 +9,7 @@ import pytest
 from weissbench import StepFunction, lorentz_norm
 from weissbench.cli import main
 from weissbench.errors import (EXIT_CHECK_FAILED, EXIT_CONFIG_INVALID,
-                               EXIT_IO_ERROR, EXIT_OK)
+                               EXIT_IO_ERROR, EXIT_OK, DomainError)
 from weissbench.reporting import (check, format_cell, summary_payload,
                                   write_csv)
 
@@ -92,6 +92,33 @@ def test_lorentz_norm_bad_index_is_config_error(tmp_path, capsys):
                  "--output-dir", str(tmp_path)])
     assert code == EXIT_CONFIG_INVALID
     assert "invalid configuration" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    "breakpoint,value\n0\n1,\n",       # a row with one cell
+    "breakpoint,value\n0,abc\n1,\n",   # a non-numeric cell
+])
+def test_lorentz_norm_malformed_rows_are_config_errors(tmp_path, capsys,
+                                                       text):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    code = main(["lorentz-norm", "--input", str(path),
+                 "--output-dir", str(tmp_path)])
+    assert code == EXIT_CONFIG_INVALID
+    err = capsys.readouterr().err
+    assert "invalid configuration: malformed step data" in err
+    assert "Traceback" not in err
+
+
+def test_lorentz_norm_overflow_is_config_error(tmp_path, capsys):
+    path = tmp_path / "huge.csv"
+    path.write_text("breakpoint,value\n0,1\n1e308,1\n1.7e308,\n")
+    code = main(["lorentz-norm", "--input", str(path),
+                 "--output-dir", str(tmp_path)])
+    assert code == EXIT_CONFIG_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "overflows the float range" in captured.err
 
 
 # ------------------------------------------------------------ validation
@@ -211,3 +238,31 @@ def test_failed_check_exits_1(tmp_path, capsys, monkeypatch):
     assert "FAILED forced-failure" in capsys.readouterr().err
     payload = read_summary(str(tmp_path))
     assert payload["checks"][0]["pass"] is False
+
+
+def test_suite_error_becomes_failed_check(tmp_path, capsys):
+    # gamma = 1/30 is below what the graded head panel can certify, so the
+    # counterexample suite raises ToleranceNotMet; the run still records it
+    code = main(["counterexample", "--q", "30", "--output-dir", str(tmp_path)])
+    assert code == EXIT_CHECK_FAILED
+    assert "FAILED counterexample-suite: ToleranceNotMet" \
+        in capsys.readouterr().err
+    payload = read_summary(str(tmp_path))
+    assert payload["params"]["q"] == 30.0
+    [entry] = payload["checks"]
+    assert entry["name"] == "counterexample-suite"
+    assert entry["pass"] is False
+    assert entry["details"].startswith("ToleranceNotMet: ")
+
+
+def test_domain_error_inside_a_suite_exits_2(tmp_path, capsys, monkeypatch):
+    from weissbench import cli
+
+    def bad_suite(args, outdir):
+        raise DomainError("injected")
+
+    monkeypatch.setattr(cli, "_suite_orbit", bad_suite)
+    code = main(["orbit", "--output-dir", str(tmp_path)])
+    assert code == EXIT_CONFIG_INVALID
+    assert "invalid configuration: injected" in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()

@@ -12,10 +12,13 @@ from weissbench import (BasisIndexMap, BoundViolated, CoefficientVector,
                         hilbertian_constant_estimate, orbit_lower_bound_check,
                         state_norm, witness_system, xi_asymptotic,
                         xi_coefficient)
+from weissbench import counterexample as ce
 from weissbench.counterexample import (WitnessSystem, _lcg_uniform,
                                        envelope_norm_q, gram_entry,
-                                       xi_period_decomposition)
-from weissbench.quadrature import singular_oscillatory_integral
+                                       period_table, xi_period_decomposition)
+from weissbench.errors import ToleranceNotMet
+from weissbench.quadrature import (QuadratureSpec,
+                                   singular_oscillatory_integral)
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +87,33 @@ def test_xi_table_validation(p4):
         XiTable(p4, 0)
     with pytest.raises(DomainError):
         XiTable(p4, 2.5)
+
+
+def test_xi_table_smallest_sizes(p4):
+    for n_max in (1, 2):
+        table = XiTable(p4, n_max)
+        assert len(table) == n_max + 1
+        for n in range(1, n_max + 1):
+            assert table[n] == pytest.approx(xi_coefficient(n, p4),
+                                             rel=1e-13)
+
+
+def test_period_table_estimates_cover_oracle_errors(p4):
+    # xi: F(n pi) = pi n^gamma xi(n) with a = gamma - 1; the table's single
+    # estimate bounds every entry's absolute error
+    table = XiTable(p4, 10_000)
+    for n in (1000, 10000):
+        want = POWCOS_REF[(0.25, n)] / math.pi
+        assert abs(table[n] - want) <= table.estimate
+    # Gram: F(d pi) = d^g int_0^pi s^(g-1) cos(d s) ds with a = g - 1
+    g = 2.0 * p4.beta + 1.0
+    values, est = period_table(g - 1.0, 2047)
+    assert np.all(np.diff(est) > 0.0)
+    for d in (1000, 1599, 2047):
+        want = d**g * POWCOS_REF[(1.75, d)]
+        assert abs(values[d - 1] - want) <= est[d - 1]
+    with pytest.raises(DomainError):
+        period_table(g - 1.0, 0)
 
 
 def test_xi_positive_and_dominated_by_head(p4, table4):
@@ -247,6 +277,37 @@ def test_gram_cache_matches_entries(p4, gram4):
                 gram_entry(j, k, p4).real, rel=1e-13)
     diag_want = 2.0 * math.pi ** (2.0 * p4.beta + 1.0) / (2.0 * p4.beta + 1.0)
     assert gram4.diagonal == pytest.approx(diag_want, rel=1e-10)
+
+
+def test_gram_cache_far_entries_against_reference(p4):
+    # each entry must lie within its own quadrature gate of the oracle
+    gram = GramCache(p4, 2048)
+    g = 2.0 * p4.beta + 1.0
+    floor = 0.01 * math.pi**g / g
+    for d in (1000, 1599, 2047):
+        want = 2.0 * POWCOS_REF[(1.75, d)]
+        gate = 2.0 * 1e-10 * max(abs(want) / 2.0, floor)
+        assert abs(gram._by_delta[d] - want) <= gate
+
+
+def test_gram_cache_raises_instead_of_storing_uncertified(p4, monkeypatch):
+    # at tol 1e-12 the roundoff floor of small-d entries exceeds the gate,
+    # while the head and the diagonal still pass theirs
+    tight = QuadratureSpec(relative_tolerance=1e-12)
+    with pytest.raises(ToleranceNotMet, match=r"Gram entry d=\d+$"):
+        GramCache(p4, 64, tight)
+    real = ce.period_table
+
+    def inflated(a, kmax, spec):
+        values, est = real(a, kmax, spec)
+        est = est.copy()
+        est[41] = 1.0
+        return values, est
+
+    monkeypatch.setattr(ce, "period_table", inflated)
+    with pytest.raises(ToleranceNotMet, match=r"Gram entry d=42$") as exc:
+        GramCache(p4, 64)
+    assert exc.value.estimate == pytest.approx(2.0 * 42.0 ** -1.75)
 
 
 def test_gram_cache_validation(p4, gram4):

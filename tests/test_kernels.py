@@ -8,7 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from weissbench._kernels import BACKEND, powcos_panels, powcos_panels_np
+from weissbench._kernels import (BACKEND, powcos_contributions,
+                                 powcos_panels, powcos_panels_np)
 
 NODES, WEIGHTS = (np.ascontiguousarray(a)
                   for a in np.polynomial.legendre.leggauss(12))
@@ -50,6 +51,42 @@ def test_backends_agree_to_roundoff():
             scale = max(abs(v1), abs(v2), 1e-30)
             assert abs(v1 - v2) <= 1e-13 * max(scale, s1)
             assert abs(s1 - s2) <= 1e-13 * max(s1, 1e-30)
+
+
+def reference_contributions(a, shift, freq, edges):
+    """Per panel: (contribution, its absolute integrand sum), by a plain
+    per-node loop with math.fsum, independent of any array kernel."""
+    out = []
+    for lo, hi in zip(edges[:-1].tolist(), edges[1:].tolist()):
+        h2, c = 0.5 * (hi - lo), 0.5 * (hi + lo)
+        terms = [w * (shift + (c + h2 * x)) ** a * math.cos(freq * (c + h2 * x))
+                 for x, w in zip(NODES.tolist(), WEIGHTS.tolist())]
+        out.append((h2 * math.fsum(terms),
+                    h2 * math.fsum(abs(t) for t in terms)))
+    return out
+
+
+def test_kernels_match_per_node_reference():
+    rng = np.random.default_rng(31)
+    cases = [(a, shift, freq)
+             for a in (-0.75, -0.5, 0.0, 0.5, 1.0, 2.0)
+             for shift in (0.0, 2.0 * math.pi)
+             for freq in (0.0, 1.0, 5.0)]
+    for edges in meshes(rng):
+        for a, shift, freq in cases:
+            ref = reference_contributions(a, shift, freq, edges)
+            contrib = powcos_contributions(a, shift, freq, edges,
+                                           NODES, WEIGHTS)
+            assert contrib.shape == (edges.size - 1,)
+            for got, (want, scale) in zip(contrib.tolist(), ref):
+                assert abs(got - want) <= 1e-14 * scale
+            value = math.fsum(want for want, _ in ref)
+            abs_sum = math.fsum(abs(want) for want, _ in ref)
+            floor = 1e-14 * math.fsum(scale for _, scale in ref)
+            for kernel in (powcos_panels, powcos_panels_np):
+                v, s = kernel(a, shift, freq, edges, NODES, WEIGHTS)
+                assert abs(v - value) <= floor
+                assert abs(s - abs_sum) <= floor
 
 
 def test_abs_sum_dominates_value():

@@ -274,3 +274,19 @@ def test_csv_rejects_malformed(tmp_path):
     path.write_text("breakpoint,value\n0.0,1.0\n")  # missing final row
     with pytest.raises(DomainError):
         StepFunction.read_csv(path)
+    for rows in ("0\n1,\n",           # one cell
+                 "0,abc\n1,\n",       # non-numeric cell
+                 "0,1,2\n1,\n",       # three cells
+                 "0,\n1,1\n2,\n"):   # empty value before the final row
+        path.write_text("breakpoint,value\n" + rows)
+        with pytest.raises(DomainError):
+            StepFunction.read_csv(path)
+
+
+def test_norm_overflow_raises_domain_error():
+    # the total length stays finite; end^(q/p) overflows for q/p = 2
+    f = StepFunction([0.0, 1e308, 1.7e308], [1.0, 1.0])
+    with pytest.raises(DomainError, match="overflows the float range"):
+        lorentz_norm(f, (2.0, 4.0))
+    assert lorentz_norm(f, (2.0, math.inf)) == \
+        pytest.approx(1.7e308 ** 0.5, rel=1e-15)

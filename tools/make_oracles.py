@@ -59,7 +59,7 @@ cases = [
     ("0.9", mp.mpf(9) / 10, [50]),
     # inner-product exponents g = 2*beta + 1 for q in {3, 4, 8}
     ("5.0 / 3.0", mp.mpf(5) / 3, [7]),
-    ("1.75", mp.mpf(7) / 4, [0, 1, 10, 100, 200]),
+    ("1.75", mp.mpf(7) / 4, [0, 1, 10, 100, 200, 1000, 1599, 2047]),
     ("1.875", mp.mpf(15) / 8, [7]),
 ]
 lines.append("# POWCOS_REF[(g, n)] = int_0^pi s^(g-1) cos(n s) ds")
