@@ -4,11 +4,8 @@ Lorentz quasi-norms through exact decreasing rearrangement, controlled
 quadrature for singular oscillatory integrals, diagonal semigroup
 observation systems with certified truncation, and the explicit endpoint
 witness whose orbit is weak-L2 admissible but escapes every stronger
-Lorentz norm. BACKEND names the active summation kernel ("compiled" or
-"python"); set WEISSBENCH_PURE_PYTHON=1 before import to force the
-fallback.
+Lorentz norm.
 """
-from ._kernels import BACKEND
 from .errors import (BoundViolated, DivergentSum, DomainError,
                      ToleranceNotMet, TruncationOverflow, WeissbenchError)
 from .lorentz import (LorentzIndex, StepFunction, decreasing_rearrangement,
@@ -29,8 +26,7 @@ from .counterexample import (BasisIndexMap, CounterexampleParams, GramCache,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND", "__version__",
-    "WeissbenchError", "DomainError", "ToleranceNotMet",
+    "__version__", "WeissbenchError", "DomainError", "ToleranceNotMet",
     "TruncationOverflow", "DivergentSum", "BoundViolated",
     "LorentzIndex", "StepFunction", "distribution_function",
     "decreasing_rearrangement", "lorentz_norm", "holder_pairing",

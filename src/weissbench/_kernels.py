@@ -1,4 +1,4 @@
-"""NumPy implementation of the panel quadrature kernel.
+"""Panel quadrature kernel: Gauss sums of (shift + s)^a * cos(freq * s).
 
 powcos_contributions evaluates, per panel, (h/2) * sum_i w_i *
 (shift + s)^a * cos(freq * s) on Gauss nodes. powcos_panels returns the
@@ -9,6 +9,8 @@ deterministic and correctly rounded regardless of panel count.
 import math
 
 import numpy as np
+
+__all__ = ["powcos_contributions", "powcos_panels"]
 
 
 def powcos_contributions(a, shift, freq, edges, nodes, weights):

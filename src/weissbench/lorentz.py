@@ -4,11 +4,13 @@ A StepFunction stores a magnitude profile: nonnegative values on half-open
 intervals [b_i, b_i+1), zero outside. Distribution functions and rearranged
 breakpoints are computed in exact rational arithmetic and rounded once, so
 a function and its decreasing rearrangement have bit-identical distribution
-functions. Norms use a separate vectorized float path normalized by a
-power of two, which makes dyadic rescalings exactly equivariant.
+functions. Norms use a separate vectorized float path that divides the
+values by their maximum, which keeps every power of a value at most 1 and
+makes dyadic rescalings exactly equivariant.
 """
 import csv
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -158,11 +160,13 @@ def lorentz_norm(f, idx):
         ( sum_i v_i^q * (p/q) * (end_i^{q/p} - start_i^{q/p}) )^{1/q}
     over the non-increasingly sorted segments; for q = inf it returns
     max_i v_i * end_i^{1/p}, the supremum of t^{1/p} f*(t). Values are
-    normalized by a power of two before exponentiation so that rescaling
-    the input by any power of two rescales the result exactly. Raises
-    DomainError when the evaluation overflows the float range: a total
-    length whose cumulative sum is not finite, or powers of the ends or
-    values that are not.
+    divided by their maximum m before exponentiation, so every v_i/m is at
+    most 1 and its q-th power cannot overflow; rescaling the input by a
+    power of two leaves each v_i/m unchanged and rescales the result
+    exactly. Raises DomainError when the evaluation leaves the normal float
+    range: a total length whose cumulative sum is not finite, powers of the
+    ends that are not, or a step sum below the smallest normal float (for
+    large q, short top segments make end^(q/p) underflow).
     """
     if not isinstance(idx, LorentzIndex):
         idx = LorentzIndex(*idx)
@@ -171,19 +175,21 @@ def lorentz_norm(f, idx):
     m = float(np.max(v))
     if m == 0.0:
         return 0.0
-    scale = math.ldexp(1.0, math.frexp(m)[1] - 1)  # 2^k with 2^k <= max < 2^(k+1)
     order = np.argsort(-v, kind="stable")
-    u = v[order] / scale
+    u = v[order] / m
     w = f.lengths[order]
     ends = np.cumsum(w)
     with np.errstate(over="ignore", invalid="ignore"):
         if q == math.inf:
-            norm = scale * float(np.max(u * ends ** (1.0 / p)))
+            norm = m * float(np.max(u * ends ** (1.0 / p)))
         else:
             starts = ends - w
             e = q / p
             s = float(np.sum(u**q * ((p / q) * (ends**e - starts**e))))
-            norm = scale * s ** (1.0 / q)
+            if s < sys.float_info.min:
+                raise DomainError(f"L^({p},{q}) evaluation underflows the "
+                                  f"float range (step sum {s:.3g})")
+            norm = m * s ** (1.0 / q)
     if not math.isfinite(norm):
         raise DomainError(f"L^({p},{q}) evaluation overflows the float range "
                           f"(total length {ends[-1]:.6g})")

@@ -290,3 +290,27 @@ def test_norm_overflow_raises_domain_error():
         lorentz_norm(f, (2.0, 4.0))
     assert lorentz_norm(f, (2.0, math.inf)) == \
         pytest.approx(1.7e308 ** 0.5, rel=1e-15)
+
+
+def test_large_q_top_value_does_not_overflow():
+    # 1.5^2000 overflows; values divided by their maximum never exceed 1
+    f = StepFunction([0.0, 1.0], [1.5])
+    base = lorentz_norm(f, (2.0, 2000.0))
+    assert base == pytest.approx(1.5 * (2.0 / 2000.0) ** (1.0 / 2000.0),
+                                 rel=1e-14)
+    for k in (-3, 5):
+        scaled = StepFunction(f.breakpoints, [math.ldexp(1.5, k)])
+        assert lorentz_norm(scaled, (2.0, 2000.0)) == math.ldexp(base, k)
+
+
+@pytest.mark.parametrize("breakpoints, values, q", [
+    ([0.0, 0.1], [1.0], 2000.0),
+    ([0.0, 0.1, 1.0], [1.0, 0.5], 2000.0),
+    ([0.0, 1e-3], [3.0], 1200.0),
+], ids=["one-step", "two-steps", "short-step"])
+def test_large_q_underflow_raises_domain_error(breakpoints, values, q):
+    # end^(q/p) of the short top segment underflows to 0; the step sum
+    # would round the norm to 0.0 instead of about 0.315 for the first case
+    f = StepFunction(breakpoints, values)
+    with pytest.raises(DomainError, match="underflows the float range"):
+        lorentz_norm(f, (2.0, q))
