@@ -15,8 +15,9 @@ import numpy as np
 
 from .errors import BoundViolated, DomainError, ToleranceNotMet
 from .lorentz import StepFunction, lorentz_norm
-from .quadrature import (DEFAULT_SPEC, GAUSS_ORDER, gamma_function,
-                         powcos_quadrature, singular_oscillatory_detail,
+from .quadrature import (_EPS, _NODES, _WEIGHTS, DEFAULT_SPEC,
+                         gamma_function, powcos_quadrature,
+                         singular_oscillatory_detail,
                          singular_oscillatory_integral)
 from .semigroup import (CoefficientVector, DiagonalSystem, orbit_callable,
                         orbit_observation)
@@ -114,8 +115,6 @@ def xi_asymptotic(n, params):
     return n ** (-g) * math.cos(0.5 * math.pi * g) * gamma_function(g) / math.pi
 
 
-_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(GAUSS_ORDER)
-_EPS = float(np.finfo(float).eps)
 _PERIOD_BLOCK = 8192  # periods per kernel call, bounding temporary memory
 
 

@@ -12,6 +12,7 @@ from weissbench.errors import (EXIT_CHECK_FAILED, EXIT_CONFIG_INVALID,
                                EXIT_IO_ERROR, EXIT_OK, DomainError)
 from weissbench.reporting import (check, format_cell, summary_payload,
                                   write_csv)
+from weissbench.semigroup import lambda_grid
 
 
 def indicator_csv(tmp_path):
@@ -173,6 +174,13 @@ def test_weiss_scan_suite(tmp_path):
     assert header == "re_lambda,im_lambda,weiss_quotient"
     for name in ("weiss_orthonormal.csv", "decay_orthonormal.csv"):
         assert (tmp_path / name).exists()
+    # the orthonormal scan is read off the doubled grid; its rows must still
+    # be exactly the default grid
+    rows = np.loadtxt(tmp_path / "weiss_orthonormal.csv", delimiter=",",
+                      skiprows=1)
+    grid = lambda_grid()
+    assert np.array_equal(rows[:, 0], grid.real)
+    assert np.array_equal(rows[:, 1], grid.imag)
 
 
 def test_counterexample_suite(tmp_path):

@@ -6,7 +6,9 @@ independent tool; agreement here certifies the panel meshes rather than
 one route certifying the other.
 """
 import cmath
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from oracle_values import GAMMA_REF, POWCOS_REF
 from weissbench import (DomainError, QuadratureSpec, ToleranceNotMet,
                         gamma_function, laplace_quadrature,
                         singular_oscillatory_integral)
-from weissbench.quadrature import singular_oscillatory_detail
+from weissbench.quadrature import MAX_PANELS, singular_oscillatory_detail
 
 
 def test_gamma_function_against_reference():
@@ -32,15 +34,13 @@ def test_gamma_function_domain():
 
 
 def test_quadrature_spec_validation():
-    QuadratureSpec(relative_tolerance=1e-14, max_panels=1, grading_ratio=0.9)
+    QuadratureSpec(relative_tolerance=1e-14)
     with pytest.raises(DomainError):
         QuadratureSpec(relative_tolerance=1e-15)
     with pytest.raises(DomainError):
         QuadratureSpec(relative_tolerance=0.1)
-    with pytest.raises(DomainError):
-        QuadratureSpec(max_panels=0)
-    with pytest.raises(DomainError):
-        QuadratureSpec(grading_ratio=0.05)
+    assert [f.name for f in dataclasses.fields(QuadratureSpec)] == \
+        ["relative_tolerance"]
 
 
 def test_singular_oscillatory_against_reference():
@@ -71,11 +71,16 @@ def test_singular_oscillatory_smooth_exponents():
 
 
 def test_estimate_brackets_mesh_refinement():
-    fine_spec = QuadratureSpec(relative_tolerance=1e-12, grading_ratio=0.4)
+    # the tighter tolerance moves the innermost graded edge, so the two
+    # meshes differ; the oracle checks that each estimate covers its error
+    fine_spec = QuadratureSpec(relative_tolerance=1e-12)
     for g, n in ((0.25, 7), (0.125, 100), (1.75, 33), (0.9, 1)):
         v1, e1 = singular_oscillatory_detail(g, n)
         v2, e2 = singular_oscillatory_detail(g, n, fine_spec)
         assert abs(v1 - v2) <= e1 + e2 + 1e-15
+    for (g, n), want in POWCOS_REF.items():
+        value, est = singular_oscillatory_detail(g, n)
+        assert abs(value - want) <= est, (g, n)
 
 
 def test_estimate_positive_and_small():
@@ -93,9 +98,20 @@ def test_singular_oscillatory_domain():
 
 
 def test_panel_budget_exhaustion():
-    tiny = QuadratureSpec(max_panels=5)
     with pytest.raises(ToleranceNotMet):
-        singular_oscillatory_integral(0.25, 1000, tiny)
+        singular_oscillatory_integral(0.25, 10**6)
+
+
+def test_panel_budget_checked_before_allocation():
+    # building the 10^7-panel mesh before the check took about 160 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ToleranceNotMet):
+            singular_oscillatory_integral(0.25, 10**7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # ---------------------------------------------------------------- laplace
@@ -143,8 +159,20 @@ def test_laplace_domain_and_budget():
     with pytest.raises(DomainError):
         laplace_quadrature(lambda t: t, 1.0, T=0.0)
     with pytest.raises(ToleranceNotMet):
-        laplace_quadrature(lambda t: np.ones_like(t), 1.0,
-                           QuadratureSpec(max_panels=3), T=100.0)
+        laplace_quadrature(lambda t: np.ones_like(t), 1.0 + 1e6j, T=100.0)
+
+
+def test_laplace_budget_counts_graded_panels():
+    # [0, pi/10] and the uniform panels on [pi/10, T] number MAX_PANELS - 9,
+    # inside the budget; the geometric layer toward 0 adds 92 more
+    lam = 1.0 + 10.0j
+    T = (MAX_PANELS - 9.5) * math.pi / 10.0
+
+    def orbit(t):
+        raise AssertionError("orbit evaluated on an over-budget mesh")
+
+    with pytest.raises(ToleranceNotMet, match="MAX_PANELS"):
+        laplace_quadrature(orbit, lam, T=T)
 
 
 def test_tolerance_not_met_carries_diagnostics():

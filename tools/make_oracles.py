@@ -54,12 +54,12 @@ lines.append("")
 cases = [
     ("0.125", mp.mpf(1) / 8, [0, 1, 17, 100, 1000, 10000]),
     ("1.0 / 3.0", mp.mpf(1) / 3, [0, 1, 5, 17, 1000]),
-    ("0.25", mp.mpf(1) / 4, [0, 1, 10, 100, 1000, 10000]),
+    ("0.25", mp.mpf(1) / 4, [0, 1, 7, 10, 100, 1000, 10000]),
     ("0.5", mp.mpf(1) / 2, [3, 1000]),
-    ("0.9", mp.mpf(9) / 10, [50]),
+    ("0.9", mp.mpf(9) / 10, [1, 50]),
     # inner-product exponents g = 2*beta + 1 for q in {3, 4, 8}
     ("5.0 / 3.0", mp.mpf(5) / 3, [7]),
-    ("1.75", mp.mpf(7) / 4, [0, 1, 10, 100, 200, 1000, 1599, 2047]),
+    ("1.75", mp.mpf(7) / 4, [0, 1, 10, 33, 100, 200, 1000, 1599, 2047]),
     ("1.875", mp.mpf(15) / 8, [7]),
 ]
 lines.append("# POWCOS_REF[(g, n)] = int_0^pi s^(g-1) cos(n s) ds")
