@@ -1,18 +1,19 @@
 """Step functions, exact rearrangement, and Lorentz quasi-norms.
 
 A StepFunction stores a magnitude profile: nonnegative values on half-open
-intervals [b_i, b_i+1), zero outside. Distribution functions and rearranged
-breakpoints are computed in exact rational arithmetic and rounded once, so
-a function and its decreasing rearrangement have bit-identical distribution
-functions. Norms use a separate vectorized float path that divides the
-values by their maximum, which keeps every power of a value at most 1 and
-makes dyadic rescalings exactly equivariant.
+intervals [b_i, b_i+1), zero outside. Every float is a dyadic rational, so
+distribution functions and rearranged breakpoints are computed exactly as
+integer numerators over one common power of two, each result rounded once;
+a function and its decreasing rearrangement therefore have bit-identical
+distribution functions. Norms use a separate vectorized float path that
+divides the values by their maximum, which keeps every power of a value at
+most 1 and makes dyadic rescalings exactly equivariant.
 """
 import csv
+import itertools
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -105,52 +106,49 @@ class StepFunction:
         return cls(bs, vs)
 
 
-def _exact_lengths(f):
-    """Segment lengths as exact rationals of the stored breakpoints."""
-    b = f.breakpoints
-    fb = [Fraction(x) for x in b]
-    return [fb[i + 1] - fb[i] for i in range(len(b) - 1)]
+def _dyadic_numerators(b):
+    """Exact integers n and one shift with b[i] == n[i] * 2**shift."""
+    mant, exp = np.frexp(b)
+    mant = np.ldexp(mant, 53).astype(np.int64)  # exact: 53-bit significands
+    low = int(exp[mant != 0].min())
+    up = np.maximum(exp - low, 0).tolist()  # frexp(0.0) has exponent 0
+    return [m << s for m, s in zip(mant.tolist(), up)], low - 53
+
+
+def _round_dyadic(n, shift):
+    """n * 2**shift rounded once (int true division is correctly rounded)."""
+    return n / (1 << -shift) if shift < 0 else float(n << shift)
 
 
 def distribution_function(f, alpha):
-    """Exact measure of { t : f(t) > alpha }, rounded once to float."""
-    if alpha < 0.0:
-        raise DomainError("alpha must be >= 0")
-    total = Fraction(0)
-    for v, ln in zip(f.values, _exact_lengths(f)):
-        if v > alpha:
-            total += ln
-    return float(total)
+    """Exact measure of { t : f(t) > alpha } for alpha in [0, inf], rounded."""
+    if not alpha >= 0.0:
+        raise DomainError(f"alpha must be a number >= 0, got {alpha}")
+    n, shift = _dyadic_numerators(f.breakpoints)
+    selected = np.flatnonzero(f.values > alpha).tolist()
+    total = sum(n[i + 1] - n[i] for i in selected)
+    return _round_dyadic(total, shift)
 
 
 def decreasing_rearrangement(f):
     """Equimeasurable non-increasing step function starting at 0.
 
     Segments are stably sorted by value in non-increasing order and equal
-    values are merged. Breakpoints are exact rational prefix sums of exact
-    segment lengths, each rounded once, which is what makes equimeasurability
-    with the input hold exactly rather than to roundoff.
+    values are merged. Breakpoints are exact prefix sums of the segment
+    lengths, held as integer numerators over one common power of two and
+    each rounded once, which is what makes equimeasurability with the input
+    hold exactly rather than to roundoff.
     """
     order = np.argsort(-f.values, kind="stable")
-    lengths = _exact_lengths(f)
-    breakpoints = [0.0]
-    values = []
-    acc = Fraction(0)
-    prev = None
-    for idx in order:
-        v = f.values[idx]
-        if v == 0.0:
-            break  # zero tail adds nothing: the function is 0 off-domain
-        if prev is not None and v != prev:
-            breakpoints.append(float(acc))
-            values.append(prev)
-        acc += lengths[idx]
-        prev = v
-    if prev is None:  # identically zero input: keep a zero segment
+    order = order[f.values[order] > 0.0]  # the zero tail adds nothing
+    if order.size == 0:  # identically zero input: keep a zero segment
         return StepFunction(f.breakpoints[:2] - f.breakpoints[0], [0.0])
-    breakpoints.append(float(acc))
-    values.append(prev)
-    return StepFunction(breakpoints, values)
+    values = f.values[order]
+    ends = np.append(np.flatnonzero(values[1:] != values[:-1]), order.size - 1)
+    n, shift = _dyadic_numerators(f.breakpoints)
+    acc = list(itertools.accumulate(n[i + 1] - n[i] for i in order.tolist()))
+    breakpoints = [0.0] + [_round_dyadic(acc[j], shift) for j in ends.tolist()]
+    return StepFunction(breakpoints, values[ends])
 
 
 def lorentz_norm(f, idx):

@@ -1,5 +1,10 @@
 """Step functions, rearrangement, and Lorentz quasi-norms."""
+import itertools
 import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -86,8 +91,10 @@ def test_distribution_function_hand_case():
     assert distribution_function(f, 1.0) == 1.0
     assert distribution_function(f, 1.5) == 1.0
     assert distribution_function(f, 2.0) == 0.0
-    with pytest.raises(DomainError):
-        distribution_function(f, -0.1)
+    assert distribution_function(f, math.inf) == 0.0
+    for alpha in (-0.1, math.nan, -math.inf):
+        with pytest.raises(DomainError):
+            distribution_function(f, alpha)
 
 
 def test_rearrangement_hand_case_with_tie():
@@ -148,6 +155,103 @@ def test_rearrangement_nonincreasing_and_left_aligned():
         g = decreasing_rearrangement(random_step(rng))
         assert g.breakpoints[0] == 0.0
         assert np.all(np.diff(g.values) < 0.0)  # ties merged, so strict
+
+
+def fraction_oracle(f):
+    """Distribution function and rearrangement in Fraction arithmetic.
+
+    Returns (d, breakpoints, values): d(alpha) is the exact measure of
+    {f > alpha} rounded once, and the rearrangement's breakpoints are the
+    exact measures of the level sets above each distinct positive value,
+    rounded once, in non-increasing order of value.
+    """
+    b = [Fraction(x) for x in f.breakpoints.tolist()]
+    measure = {}
+    for v, lo, hi in zip(f.values.tolist(), b, b[1:]):
+        if v > 0.0:
+            measure[v] = measure.get(v, Fraction(0)) + (hi - lo)
+    levels = sorted(measure, reverse=True)
+    acc = list(itertools.accumulate(measure[v] for v in levels))
+
+    def d(alpha):
+        above = sum(1 for v in levels if v > alpha)
+        return float(acc[above - 1]) if above else 0.0
+
+    if not levels:
+        return d, [0.0, float(b[1] - b[0])], [0.0]
+    return d, [0.0] + [float(a) for a in acc], levels
+
+
+def assert_matches_fraction_oracle(f):
+    """Bit-identity with the oracle; a collapsed rearrangement must raise."""
+    d, breakpoints, values = fraction_oracle(f)
+    for alpha in distribution_probes(f.values):
+        assert distribution_function(f, alpha) == d(alpha)
+    if not all(a < b for a, b in zip(breakpoints, breakpoints[1:])):
+        # two exact prefix sums round to the same float: no step function
+        with pytest.raises(DomainError, match="strictly increasing"):
+            decreasing_rearrangement(f)
+        return False
+    g = decreasing_rearrangement(f)
+    assert np.array_equal(g.breakpoints, breakpoints)
+    assert np.array_equal(g.values, values)
+    for alpha in distribution_probes(f.values):
+        assert distribution_function(g, alpha) == d(alpha)
+    return True
+
+
+def test_matches_fraction_oracle_over_sixteen_decades():
+    rng = np.random.default_rng(20)
+    grid = np.array([0.0, 0.5, 1.25, 2.0, 3.5])
+    compared = 0
+    for i in range(120):
+        n = int(rng.integers(1, 30))
+        b = np.unique(10.0 ** rng.uniform(-16.0, 2.0, n + 1))
+        if i % 2 == 0:
+            b[0] = 0.0
+        vals = rng.choice(grid, b.size - 1) if i % 3 else \
+            rng.uniform(0.0, 4.0, b.size - 1)
+        compared += assert_matches_fraction_oracle(StepFunction(b, vals))
+    # the rest sort a short segment behind a long one and must raise
+    assert compared >= 100, compared
+
+
+@pytest.mark.parametrize("breakpoints, values", [
+    ([0.25, 1.0, 2.5, 2.75, 7.0], [1.0, 3.0, 1.0, 2.0]),
+    ([0.0, 5e-324, 1e-310, 3.0], [2.0, 3.0, 1.0]),
+    ([5e-324, 1e-323, 2.5e-323], [1.0, 1.0]),
+    # math.fsum of the float ends overflows here; the exact measure does not
+    ([1.6e308, 1.7e308, 1.75e308], [1.0, 1.0]),
+    ([0.0, 1e308, 1.5e308, 1.75e308], [1.0, 2.0, 1.0]),
+    ([3.0, 4.0, 5.0], [0.0, 0.0]),
+], ids=["positive-start", "subnormal", "all-subnormal", "near-overflow",
+        "near-overflow-from-zero", "zero-function"])
+def test_matches_fraction_oracle_edge_cases(breakpoints, values):
+    assert assert_matches_fraction_oracle(StepFunction(breakpoints, values))
+
+
+def test_matches_fraction_oracle_tied_permuted_orbit():
+    # log2(1 + t^(-1/2)) on a 2e4-cell log grid over (1e-12, 1), quantised
+    # so values tie, cells permuted: the shape of perfbench's endpoint check
+    rng = np.random.default_rng(21)
+    grid = np.logspace(-12.0, 0.0, 20_001)
+    values = np.round(np.log2(1.0 + grid[:-1] ** -0.5) * 2.0) / 2.0
+    perm = rng.permutation(values.size)
+    f = StepFunction(np.concatenate(([0.0], np.cumsum(np.diff(grid)[perm]))),
+                     values[perm])
+    assert assert_matches_fraction_oracle(f)
+
+
+def test_import_does_not_load_fractions():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import weissbench, sys; print('fractions' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 # ------------------------------------------------------------------ norms
