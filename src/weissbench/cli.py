@@ -84,6 +84,18 @@ def _guarded(name, fn):
         return [CheckResult(name, False, -1.0, f"{type(exc).__name__}: {exc}")]
 
 
+def _lower_bound_check(name, params, n_hi, witness):
+    """The certified orbit lower bound over n <= n_hi, as a guarded check."""
+    def body():
+        report = ce.orbit_lower_bound_check(params, (0, n_hi), 8,
+                                            witness=witness)
+        return [check(name, report.worst_slack + 1e-9,
+                      f"worst slack {report.worst_slack:.3e} at "
+                      f"n={report.worst_n} over {report.samples} samples")]
+
+    return _guarded(name, body)
+
+
 # --------------------------------------------------------------- suites
 def _suite_lorentz_closed_forms(args, outdir):
     rows = []
@@ -230,15 +242,8 @@ def _suite_orbit(args, outdir):
     checks = [check("witness-decay-bounded", 10.0 - sup,
                     f"sup of t^(1/2)|orbit|/x_norm is {sup:.6f} on "
                     f"[{args.eps_min:g}, {args.tau:g}]")]
-
-    def bound_body():
-        report = ce.orbit_lower_bound_check(params, (0, 12), 8,
-                                            witness=witness)
-        return [check("orbit-lower-bound-quick", report.worst_slack + 1e-9,
-                      f"worst slack {report.worst_slack:.3e} at "
-                      f"n={report.worst_n} over {report.samples} samples")]
-
-    return checks + _guarded("orbit-lower-bound-quick", bound_body)
+    return checks + _lower_bound_check("orbit-lower-bound-quick", params, 12,
+                                       witness)
 
 
 def _suite_counterexample(args, outdir):
@@ -289,15 +294,7 @@ def _suite_counterexample(args, outdir):
               ["n", "xi", "xi_asymptotic"], rows)
 
     witness = ce.witness_system(params, spec=spec)
-
-    def bound_body():
-        report = ce.orbit_lower_bound_check(params, (0, 20), 8,
-                                            witness=witness)
-        return [check("orbit-lower-bound", report.worst_slack + 1e-9,
-                      f"worst slack {report.worst_slack:.3e} at "
-                      f"n={report.worst_n} over {report.samples} samples")]
-
-    checks += _guarded("orbit-lower-bound", bound_body)
+    checks += _lower_bound_check("orbit-lower-bound", params, 20, witness)
 
     decades = max(2, int(math.floor(-math.log10(args.eps_min) / 2.0)))
     eps_list = [10.0 ** (-2 * k) for k in range(1, decades + 1)]

@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BoundViolated, DomainError, ToleranceNotMet
-from .lorentz import StepFunction, lorentz_norm
+from .lorentz import lorentz_norm, sample_steps
 from .quadrature import (_EPS, _NODES, _WEIGHTS, DEFAULT_SPEC,
                          gamma_function, powcos_quadrature,
                          singular_oscillatory_detail,
@@ -115,16 +115,13 @@ def xi_asymptotic(n, params):
     return n ** (-g) * math.cos(0.5 * math.pi * g) * gamma_function(g) / math.pi
 
 
-_PERIOD_BLOCK = 8192  # periods per kernel call, bounding temporary memory
-
-
 def period_table(a, kmax, spec=DEFAULT_SPEC):
     """(F, estimate) with F[k-1] = integral of u^a cos u over (0, k pi).
 
     For k = 1..kmax and a in (-1, 1]. The head (0, pi) comes from the graded
     singular quadrature; every later period [k pi, (k+1) pi] is smooth and
     is integrated with four quarter-period Gauss panels, checked against
-    two half-period panels, all periods in one array pass; F is the
+    two half-period panels, all periods in one kernel call; F is the
     cumulative sum. estimate[k-1] bounds |F[k-1] - F(k pi)|: the head
     estimate, the fine/coarse gaps and a roundoff floor of every period
     below k pi, plus two cumulative-sum roundoff terms, 64 eps times the
@@ -136,16 +133,10 @@ def period_table(a, kmax, spec=DEFAULT_SPEC):
         raise DomainError(f"kmax must be a positive integer, got {kmax}")
     head, head_est = singular_oscillatory_detail(a + 1.0, 1, spec)
     fine_edges = math.pi * (1.0 + 0.25 * np.arange(4 * int(kmax) - 3))
-
-    def per_period(edges, panels):
-        step = panels * _PERIOD_BLOCK
-        parts = [powcos_contributions(a, 0.0, 1.0, edges[i:i + step + 1],
-                                      _NODES, _WEIGHTS)
-                 for i in range(0, max(edges.size - 1, 1), step)]
-        return np.concatenate(parts).reshape(-1, panels)
-
-    fine = per_period(fine_edges, 4)
-    coarse = per_period(fine_edges[::2], 2).sum(axis=1)
+    fine = powcos_contributions(a, 0.0, 1.0, fine_edges, _NODES,
+                                _WEIGHTS).reshape(-1, 4)
+    coarse = powcos_contributions(a, 0.0, 1.0, fine_edges[::2], _NODES,
+                                  _WEIGHTS).reshape(-1, 2).sum(axis=1)
     increments = np.concatenate(([head], fine.sum(axis=1)))
     local = np.concatenate(([head_est], np.abs(increments[1:] - coarse)
                             + 64.0 * _EPS * np.abs(fine).sum(axis=1)))
@@ -267,14 +258,6 @@ def witness_system(params, n_modes=60, spec=DEFAULT_SPEC):
     return WitnessSystem(system, xi, state_norm(params), table)
 
 
-def _orbit_steps(orbit, eps, tau, per_decade):
-    """Left-sampled step approximation of the orbit on a log grid."""
-    count = int(math.ceil(math.log10(tau / eps) * per_decade)) + 1
-    grid = np.logspace(math.log10(eps), math.log10(tau), count)
-    values = orbit(grid[:-1])
-    return StepFunction(grid, values)
-
-
 def divergence_profile(params, eps_list, tau=1.0, witness=None,
                        per_decade=64, spec=DEFAULT_SPEC):
     """Norm growth table over shrinking left endpoints.
@@ -296,7 +279,9 @@ def divergence_profile(params, eps_list, tau=1.0, witness=None,
     orbit = orbit_callable(witness.system, witness.xi)
     out = np.empty((eps_arr.size, 4))
     for i, eps in enumerate(eps_arr):
-        steps = _orbit_steps(orbit, float(eps), tau, per_decade)
+        count = int(math.ceil(math.log10(tau / eps) * per_decade)) + 1
+        grid = np.logspace(math.log10(eps), math.log10(tau), count)
+        steps = sample_steps(orbit, grid, rule="left")
         out[i] = (eps,
                   envelope_norm_q(float(eps), tau, params),
                   lorentz_norm(steps, (2.0, params.q)),
@@ -364,7 +349,7 @@ def gram_entry(j, k, params, spec=DEFAULT_SPEC):
 
 
 class GramCache:
-    """Dense Gram blocks from one period table.
+    """Gram entries g(d) by frequency difference, from one period table.
 
     Entries depend only on the frequency difference d, and for d >= 1
     g(d) = 2 d^(-g) F(d pi) with F the period table of u^(g-1) cos u,
@@ -376,11 +361,9 @@ class GramCache:
     __slots__ = ("params", "n_basis", "_nu", "_by_delta")
 
     def __init__(self, params, n_basis, spec=DEFAULT_SPEC):
-        if not 1 <= n_basis <= 2048:
-            raise DomainError("n_basis must lie in [1, 2048] "
-                              "(dense evaluation budget)")
-        nu = BasisIndexMap.frequencies(n_basis)
-        dmax = int(np.max(nu) - np.min(nu))
+        if n_basis != int(n_basis) or n_basis < 1:
+            raise DomainError(f"n_basis must be a positive integer: {n_basis}")
+        dmax = int(n_basis) - 1  # n frequencies span n lattice points
         g = 2.0 * params.beta + 1.0
         zero, _ = singular_oscillatory_detail(g, 0, spec)
         partial, est = period_table(g - 1.0, max(dmax, 1), spec)
@@ -398,20 +381,31 @@ class GramCache:
                 estimate=2.0 * est[d - 1])
         self.params = params
         self.n_basis = int(n_basis)
-        self._nu = nu
+        self._nu = BasisIndexMap.frequencies(n_basis)
         self._by_delta = 2.0 * np.concatenate(([zero], value))
 
     @property
     def diagonal(self):
         return float(self._by_delta[0])
 
-    def matrix(self, n=None):
-        """Leading n x n Gram block as a real symmetric array."""
-        n = self.n_basis if n is None else int(n)
-        if not 1 <= n <= self.n_basis:
-            raise DomainError(f"block size must lie in [1, {self.n_basis}]")
-        nu = self._nu[:n]
-        return self._by_delta[np.abs(nu[:, None] - nu[None, :])]
+    def quadratic_form(self, x):
+        """x* G x over the first len(x) basis elements, in O(n log n).
+
+        The first n frequencies fill the lattice -(n//2)..(n-1)//2, so x
+        permuted onto it has the lag autocorrelation r_d of one zero-padded
+        real FFT pair, and x* G x = g(0) r_0 + 2 sum_{d>=1} g(d) r_d.
+        """
+        x = np.asarray(x, dtype=float)
+        n = x.size
+        if x.ndim != 1 or not 1 <= n <= self.n_basis:
+            raise DomainError(f"x must be 1-d, of length 1..{self.n_basis}")
+        lattice = np.empty(n)
+        lattice[self._nu[:n] + n // 2] = x
+        size = 1 << (2 * n - 2).bit_length()  # a power of two >= 2n - 1
+        spectrum = np.fft.rfft(lattice, size)  # numpy.fft loads on first use
+        r = np.fft.irfft(spectrum.real**2 + spectrum.imag**2, size)[:n]
+        g = self._by_delta[:n]
+        return float(g[0] * r[0] + 2.0 * (g[1:] @ r[1:]))
 
 
 def bessel_failure_witness(params, N_list, spec=DEFAULT_SPEC, gram=None,
@@ -433,12 +427,10 @@ def bessel_failure_witness(params, N_list, spec=DEFAULT_SPEC, gram=None,
         table = XiTable(params, (n_max + 1) // 2 + 1, spec)
     nu = np.abs(BasisIndexMap.frequencies(n_max))
     xi = table.values[nu]
-    full = gram.matrix(n_max)
     out = np.empty((len(sizes), 3))
     for i, n in enumerate(sizes):
         head = xi[:n]
-        out[i] = (n, math.fsum(head**2),
-                  float(head @ full[:n, :n] @ head))
+        out[i] = (n, math.fsum(head**2), gram.quadratic_form(head))
     return out
 
 
@@ -468,10 +460,5 @@ def hilbertian_constant_estimate(params, trials, N, seed=20259,
         raise DomainError("N must be at least 1")
     if gram is None:
         gram = GramCache(params, N, spec)
-    G = gram.matrix(N)
-    draws = _lcg_uniform(seed, trials * N).reshape(trials, N)
-    best = 0.0
-    for row in draws:
-        a = 2.0 * row - 1.0
-        best = max(best, math.sqrt((a @ G @ a) / (a @ a)))
-    return best
+    draws = 2.0 * _lcg_uniform(seed, trials * N).reshape(trials, N) - 1.0
+    return max(math.sqrt(gram.quadratic_form(a) / (a @ a)) for a in draws)

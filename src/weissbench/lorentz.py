@@ -137,7 +137,10 @@ def decreasing_rearrangement(f):
     values are merged. Breakpoints are exact prefix sums of the segment
     lengths, held as integer numerators over one common power of two and
     each rounded once, which is what makes equimeasurability with the input
-    hold exactly rather than to roundoff.
+    hold exactly rather than to roundoff. Domain: a level far shorter than
+    the measure sorted ahead of it (1e-16 behind 100) ends on a float equal
+    to the preceding breakpoint; it has no float representation, and the
+    call raises DomainError giving its length and the preceding measure.
     """
     order = np.argsort(-f.values, kind="stable")
     order = order[f.values[order] > 0.0]  # the zero tail adds nothing
@@ -147,7 +150,14 @@ def decreasing_rearrangement(f):
     ends = np.append(np.flatnonzero(values[1:] != values[:-1]), order.size - 1)
     n, shift = _dyadic_numerators(f.breakpoints)
     acc = list(itertools.accumulate(n[i + 1] - n[i] for i in order.tolist()))
-    breakpoints = [0.0] + [_round_dyadic(acc[j], shift) for j in ends.tolist()]
+    levels = [0] + [acc[j] for j in ends.tolist()]
+    breakpoints = [_round_dyadic(m, shift) for m in levels]
+    i = int(np.argmin(np.diff(breakpoints) > 0.0))  # the first collapse
+    if breakpoints[i + 1] <= breakpoints[i]:
+        length = _round_dyadic(levels[i + 1] - levels[i], shift)
+        raise DomainError(f"rearranged level of length {length:.6g} has no "
+                          "float representation: its end rounds onto the "
+                          f"preceding measure {breakpoints[i]:.17g}")
     return StepFunction(breakpoints, values[ends])
 
 

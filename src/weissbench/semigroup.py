@@ -32,6 +32,15 @@ _RATIO_CAP = 0.9  # certified geometric decay needs ratios at most this
 _EPS = float(np.finfo(float).eps)
 
 
+def _upper_half_ratio(terms):
+    """Largest finite ratio of consecutive terms in the upper half, or 0."""
+    half = terms[terms.size // 2:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = half[1:] / half[:-1]
+    ratios = ratios[np.isfinite(ratios) & (half[:-1] > 0.0)]
+    return float(np.max(ratios)) if ratios.size else 0.0
+
+
 class DiagonalSystem:
     """Diagonal generator with eigenvalues mu_k and observation weights c_k."""
 
@@ -50,15 +59,10 @@ class DiagonalSystem:
         terms = np.abs(c) / mu
         if not math.isfinite(math.fsum(terms)):
             raise DomainError("sum |c_k|/mu_k overflows over active modes")
-        if n_active >= 32:
-            half = terms[n_active // 2:]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = half[1:] / half[:-1]
-            ratios = ratios[np.isfinite(ratios) & (half[:-1] > 0.0)]
-            if ratios.size and np.max(ratios) > 1.0:
-                raise DomainError(
-                    "terms |c_k|/mu_k grow over the active modes; the "
-                    "resolvent series shows no sign of convergence")
+        if n_active >= 32 and _upper_half_ratio(terms) > 1.0:
+            raise DomainError(
+                "terms |c_k|/mu_k grow over the active modes; the "
+                "resolvent series shows no sign of convergence")
         self.mu = mu
         self.c = c
         self.n_active = n_active
@@ -227,11 +231,7 @@ def weiss_norm_orthonormal(sys, lam, tol):
     if not tol > 0.0:
         raise DomainError("tol must be positive")
     limit = (sys.c / sys.mu) ** 2
-    half = limit[sys.n_active // 2:]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = half[1:] / half[:-1]
-    ratios = ratios[np.isfinite(ratios) & (half[:-1] > 0.0)]
-    if ratios.size and np.max(ratios) >= 1.0:
+    if _upper_half_ratio(limit) >= 1.0:
         raise DivergentSum(
             "sum c_k^2/mu_k^2 diverges over the active modes")
     terms = sys.c**2 / np.abs(lam + sys.mu) ** 2

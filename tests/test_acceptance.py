@@ -8,10 +8,10 @@ asserted alongside the numerics.
 Criterion 8 contains one clause that desk-scale computation cannot meet: the
 truncated quadratic form converges to its closed-form limit from above at
 rate ~N^(-1/4), so reaching the demanded 5% band needs millions of basis
-elements, far beyond the dense-Gram budget. The clause is asserted literally
-and is expected to fail; the measured convergence trend (decreasing toward
-the limit, every attainable sub-check green) is asserted first so the
-failure isolates exactly that clause.
+elements. The clause is asserted literally and is expected to fail; the
+measured convergence trend (decreasing toward the limit, every attainable
+sub-check green) is asserted first so the failure isolates exactly that
+clause.
 """
 import math
 import time
@@ -299,6 +299,5 @@ def test_criterion_8_basis_properties(criterion):
             + ", ".join(f"N={int(n)}: {e:+.1%}" for n, e in
                         zip(table[:, 0], excess))
             + "; the excess decays like ~2.1*(N/2)^(-1/4), so the 5% band "
-              "needs N on the order of 6e6 basis elements, far beyond the "
-              "dense-Gram budget (n_basis <= 2048). Expected failure; see "
-              "README acceptance notes.")
+              "is first met between N = 8.50e6 and 8.75e6 basis elements. "
+              "Expected failure; see README acceptance notes.")

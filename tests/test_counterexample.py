@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oracle_values import PERIOD_REF, POWCOS_REF, XI_LIMIT
+from oracle_values import GRAM_FORM_REF, PERIOD_REF, POWCOS_REF, XI_LIMIT
 from weissbench import (BasisIndexMap, BoundViolated, CoefficientVector,
                         CounterexampleParams, DiagonalSystem, DomainError,
                         GramCache, XiTable, bessel_failure_witness,
@@ -269,14 +269,49 @@ def test_gram_entry_against_reference(p4):
 
 
 def test_gram_cache_matches_entries(p4, gram4):
-    block = gram4.matrix(8)
-    assert np.array_equal(block, block.T)
+    nu = BasisIndexMap.frequencies(8)
     for j in range(8):
         for k in range(8):
-            assert block[j, k] == pytest.approx(
+            d = abs(int(nu[j]) - int(nu[k]))
+            assert gram4._by_delta[d] == pytest.approx(
                 gram_entry(j, k, p4).real, rel=1e-13)
     diag_want = 2.0 * math.pi ** (2.0 * p4.beta + 1.0) / (2.0 * p4.beta + 1.0)
     assert gram4.diagonal == pytest.approx(diag_want, rel=1e-10)
+
+
+def _dense_block(gram, n):
+    """Test-side n x n Gram block G_jk = g(|nu_j - nu_k|)."""
+    nu = BasisIndexMap.frequencies(n)
+    return gram._by_delta[np.abs(nu[:, None] - nu[None, :])]
+
+
+def _dense_form(gram, x):
+    return float(x @ _dense_block(gram, x.size) @ x)
+
+
+def test_quadratic_form_matches_dense_reference(p4):
+    gram = GramCache(p4, 1600)
+    table = XiTable(p4, 800)
+    for n in (1, 8, 64, 1600):
+        xi = table.values[np.abs(BasisIndexMap.frequencies(n))]
+        signed = 2.0 * _lcg_uniform(n, n) - 1.0
+        for x in (xi, signed):
+            want = _dense_form(gram, x)
+            assert gram.quadratic_form(x) == pytest.approx(want, rel=1e-12)
+
+
+def test_quadratic_form_against_oracle(p4):
+    # each entry passes its quadrature gate, so the form may move by the
+    # gate summed over all pairs (perfbench's gram_form_tolerance)
+    gram = GramCache(p4, max(GRAM_FORM_REF))
+    g = 2.0 * p4.beta + 1.0
+    tol = 1e-10
+    for n, want in GRAM_FORM_REF.items():
+        x = 1.0 / np.arange(1, n + 1)
+        gate = 2.0 * tol * np.maximum(np.abs(_dense_block(gram, n)) / 2.0,
+                                      0.01 * math.pi**g / g)
+        allowed = float(np.abs(x) @ gate @ np.abs(x))
+        assert abs(gram.quadratic_form(x) - want) <= allowed
 
 
 def test_gram_cache_far_entries_against_reference(p4):
@@ -311,14 +346,13 @@ def test_gram_cache_raises_instead_of_storing_uncertified(p4, monkeypatch):
 
 
 def test_gram_cache_validation(p4, gram4):
-    with pytest.raises(DomainError):
-        GramCache(p4, 0)
-    with pytest.raises(DomainError):
-        GramCache(p4, 3000)
-    with pytest.raises(DomainError):
-        gram4.matrix(65)
-    with pytest.raises(DomainError):
-        gram4.matrix(0)
+    for bad in (0, 2.5):
+        with pytest.raises(DomainError):
+            GramCache(p4, bad)
+    assert GramCache(p4, 3000).n_basis == 3000  # no size cap
+    for bad in (np.empty(0), np.ones((2, 2)), np.ones(65)):
+        with pytest.raises(DomainError):
+            gram4.quadratic_form(bad)
 
 
 def test_bessel_witness_single_element(p4, gram4, table4):
@@ -366,7 +400,7 @@ def test_hilbertian_estimate_is_rayleigh_quotient(p4, gram4):
     got = hilbertian_constant_estimate(p4, 1, 1, seed=7, gram=gram4)
     assert got == pytest.approx(math.sqrt(gram4.diagonal), rel=1e-14)
     # any estimate lies between the extreme singular values of the block
-    eig = np.linalg.eigvalsh(gram4.matrix(8))
+    eig = np.linalg.eigvalsh(_dense_block(gram4, 8))
     est = hilbertian_constant_estimate(p4, 6, 8, seed=11, gram=gram4)
     assert math.sqrt(eig[0]) - 1e-12 <= est <= math.sqrt(eig[-1]) + 1e-12
 

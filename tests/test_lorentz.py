@@ -138,6 +138,16 @@ def test_rearrangement_zero_function():
     assert lorentz_norm(g, (2.0, 1.0)) == 0.0
 
 
+def test_rearrangement_names_a_level_without_float_representation():
+    # the 1e-16 level sorts behind one of measure 100 - 1e-16, and their
+    # exact sum 100 rounds onto the end of that level
+    f = StepFunction([0.0, 1e-16, 100.0], [1.0, 2.0])
+    with pytest.raises(DomainError, match=r"^rearranged level of length "
+                       r"1e-16 has no float representation: its end rounds "
+                       r"onto the preceding measure 100$"):
+        decreasing_rearrangement(f)
+
+
 def test_equimeasurability_exact_including_ties():
     rng = np.random.default_rng(11)
     grid = np.array([0.0, 0.5, 1.25, 2.0, 3.5])
@@ -189,7 +199,7 @@ def assert_matches_fraction_oracle(f):
         assert distribution_function(f, alpha) == d(alpha)
     if not all(a < b for a, b in zip(breakpoints, breakpoints[1:])):
         # two exact prefix sums round to the same float: no step function
-        with pytest.raises(DomainError, match="strictly increasing"):
+        with pytest.raises(DomainError, match="no float representation"):
             decreasing_rearrangement(f)
         return False
     g = decreasing_rearrangement(f)

@@ -114,6 +114,21 @@ def test_panel_budget_checked_before_allocation():
     assert peak < 2**20
 
 
+def test_large_meshes_evaluate_in_bounded_blocks():
+    # one array pass over the whole halved mesh peaked at 157 and 220 MB
+    calls = (lambda: singular_oscillatory_integral(0.25, 199_000),
+             lambda: laplace_quadrature(lambda t: np.ones_like(t),
+                                        1.0 + 60000.0j, T=10.0))
+    for call in calls:
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
+
+
 # ---------------------------------------------------------------- laplace
 def test_laplace_constant_orbit():
     for lam in (1.0, 2.5 + 4.0j, 0.3 - 1.0j):

@@ -70,6 +70,25 @@ for label, g, ns in cases:
 lines.append("}")
 lines.append("")
 
+# Gram quadratic form at q = 4 from the closed-form entries
+# g(d) = 2 int_0^pi s^(3/4) cos(d s) ds, d = |nu_j - nu_k|, with
+# frequencies nu = 0, -1, 1, -2, 2, ... and x_k = 1/(k+1)
+g4 = mp.mpf(7) / 4
+lines.append("# GRAM_FORM_REF[N] = sum_jk x_j x_k g(|nu_j - nu_k|), x_k = 1/(k+1), q = 4")
+lines.append("GRAM_FORM_REF = {")
+for N in (8, 64, 256):
+    nu = [(k + 1) // 2 * (-1 if k % 2 else 1) for k in range(N)]
+    x = [mp.mpf(1) / (k + 1) for k in range(N)]
+    lag = {}
+    for j in range(N):
+        for k in range(N):
+            d = abs(nu[j] - nu[k])
+            lag[d] = lag.get(d, 0) + x[j] * x[k]
+    form = mp.fsum(2 * powcos(g4, d, mp.pi) * r for d, r in lag.items())
+    lines.append(f"    {N}: {fmt(form)},")
+lines.append("}")
+lines.append("")
+
 # period integrals via the shifted closed form:
 # I_l = int_{2pi l}^{2pi(l+1)} u^(g-1) cos u du
 lines.append("# PERIOD_REF[(g, l)] = int_0^{2pi} (2 pi l + x)^(g-1) cos(x) dx")
