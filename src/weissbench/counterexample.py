@@ -16,9 +16,8 @@ import numpy as np
 from .errors import BoundViolated, DomainError, ToleranceNotMet
 from .lorentz import lorentz_norm, sample_steps
 from .quadrature import (_EPS, _NODES, _WEIGHTS, DEFAULT_SPEC,
-                         gamma_function, powcos_quadrature,
-                         singular_oscillatory_detail,
-                         singular_oscillatory_integral)
+                         _halving_estimate, gamma_function, powcos_quadrature,
+                         singular_end, singular_oscillatory_integral)
 from .semigroup import (CoefficientVector, DiagonalSystem, orbit_callable,
                         orbit_observation)
 # powcos_panels is unused here; the binding stays because perfbench's span
@@ -118,28 +117,28 @@ def xi_asymptotic(n, params):
 def period_table(a, kmax, spec=DEFAULT_SPEC):
     """(F, estimate) with F[k-1] = integral of u^a cos u over (0, k pi).
 
-    For k = 1..kmax and a in (-1, 1]. The head (0, pi) comes from the graded
-    singular quadrature; every later period [k pi, (k+1) pi] is smooth and
-    is integrated with four quarter-period Gauss panels, checked against
-    two half-period panels, all periods in one kernel call; F is the
-    cumulative sum. estimate[k-1] bounds |F[k-1] - F(k pi)|: the head
-    estimate, the fine/coarse gaps and a roundoff floor of every period
-    below k pi, plus two cumulative-sum roundoff terms, 64 eps times the
-    running sum of |increments| and the running error bound eps times the
-    running sum of |F|. The increments grow like k^a while F(k pi) grows
-    only like k^(a-1); the roundoff terms cover that cancellation.
+    For k = 1..kmax and a in (-1, 1], from one mesh: singular_end's graded
+    first period (cap pi/2; its head and bound join period 0), then two
+    half-period panels a period, each period checked against the halving.
+    F is the cumulative sum; estimate[k-1] bounds |F[k-1] - F(k pi)| by the
+    estimates of the periods below k pi plus 64 eps times the running sum of
+    |increments| and eps times the running sum of |F|, which cover the
+    cancellation of increments growing like k^a into F(k pi) ~ k^(a-1).
     """
-    if kmax != int(kmax) or kmax < 1:
-        raise DomainError(f"kmax must be a positive integer, got {kmax}")
-    head, head_est = singular_oscillatory_detail(a + 1.0, 1, spec)
-    fine_edges = math.pi * (1.0 + 0.25 * np.arange(4 * int(kmax) - 3))
-    fine = powcos_contributions(a, 0.0, 1.0, fine_edges, _NODES,
-                                _WEIGHTS).reshape(-1, 4)
-    coarse = powcos_contributions(a, 0.0, 1.0, fine_edges[::2], _NODES,
-                                  _WEIGHTS).reshape(-1, 2).sum(axis=1)
-    increments = np.concatenate(([head], fine.sum(axis=1)))
-    local = np.concatenate(([head_est], np.abs(increments[1:] - coarse)
-                            + 64.0 * _EPS * np.abs(fine).sum(axis=1)))
+    if kmax != int(kmax) or kmax < 1 or not -1.0 < a <= 1.0:
+        raise DomainError(f"need a in (-1, 1], integer kmax >= 1: {a}, {kmax}")
+    first, head, bound = singular_end(a, 1.0, math.pi, 0.5 * math.pi, spec)
+    edges = np.append(first, 0.5 * math.pi * np.arange(3, 2 * kmax + 1))
+
+    def panels(e):  # the mesh or its halving: 2 or 4 panels a period
+        c = powcos_contributions(a, 0.0, 1.0, e, _NODES, _WEIGHTS)
+        per = 2 * (e.size - 1) // (edges.size - 1)
+        starts = np.r_[0, (first.size - 1) * per // 2:c.size:per]
+        return np.add.reduceat(c, starts), np.add.reduceat(np.abs(c), starts)
+
+    increments, local, _ = _halving_estimate(panels, edges)
+    increments[0] += head
+    local[0] += bound
     values = np.cumsum(increments)
     estimate = (np.cumsum(local)
                 + 64.0 * _EPS * np.cumsum(np.abs(increments))
@@ -353,9 +352,9 @@ class GramCache:
 
     Entries depend only on the frequency difference d, and for d >= 1
     g(d) = 2 d^(-g) F(d pi) with F the period table of u^(g-1) cos u,
-    g = 2 beta + 1; g(0) keeps the direct graded quadrature.
-    Every entry passes the gate singular_oscillatory_detail applies, or the
-    constructor raises ToleranceNotMet naming d.
+    g = 2 beta + 1; g(0) = 2 pi^g/g is closed.
+    Every other entry passes the gate singular_oscillatory_detail applies,
+    or the constructor raises ToleranceNotMet naming d.
     """
 
     __slots__ = ("params", "n_basis", "_nu", "_by_delta")
@@ -365,7 +364,6 @@ class GramCache:
             raise DomainError(f"n_basis must be a positive integer: {n_basis}")
         dmax = int(n_basis) - 1  # n frequencies span n lattice points
         g = 2.0 * params.beta + 1.0
-        zero, _ = singular_oscillatory_detail(g, 0, spec)
         partial, est = period_table(g - 1.0, max(dmax, 1), spec)
         scale = np.arange(1, dmax + 1, dtype=float) ** (-g)
         value = scale * partial[:dmax]
@@ -382,7 +380,7 @@ class GramCache:
         self.params = params
         self.n_basis = int(n_basis)
         self._nu = BasisIndexMap.frequencies(n_basis)
-        self._by_delta = 2.0 * np.concatenate(([zero], value))
+        self._by_delta = 2.0 * np.concatenate(([math.pi**g / g], value))
 
     @property
     def diagonal(self):

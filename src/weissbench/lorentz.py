@@ -12,7 +12,6 @@ most 1 and makes dyadic rescalings exactly equivariant.
 import csv
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,17 +163,13 @@ def decreasing_rearrangement(f):
 def lorentz_norm(f, idx):
     """Lorentz L^{p,q} quasi-norm of a step function.
 
-    For q < inf this evaluates the exact step integral
-        ( sum_i v_i^q * (p/q) * (end_i^{q/p} - start_i^{q/p}) )^{1/q}
-    over the non-increasingly sorted segments; for q = inf it returns
-    max_i v_i * end_i^{1/p}, the supremum of t^{1/p} f*(t). Values are
-    divided by their maximum m before exponentiation, so every v_i/m is at
-    most 1 and its q-th power cannot overflow; rescaling the input by a
-    power of two leaves each v_i/m unchanged and rescales the result
-    exactly. Raises DomainError when the evaluation leaves the normal float
-    range: a total length whose cumulative sum is not finite, powers of the
-    ends that are not, or a step sum below the smallest normal float (for
-    large q, short top segments make end^(q/p) underflow).
+    Over the non-increasingly sorted segments with ends e_i and lengths w_i,
+    the weak-type peaks v_i e_i^{1/p} have maximum top (the q = inf result);
+    for q < inf this is the exact step integral
+        top ( sum_i (peak_i/top)^q (p/q) (1 - (1 - w_i/e_i)^{q/p}) )^{1/q},
+    whose terms are at most p/q and sum to at least p/q, so no power under-
+    or overflows. Values are divided by their maximum first, so power-of-two
+    rescalings are exact. Raises DomainError only when the norm overflows.
     """
     if not isinstance(idx, LorentzIndex):
         idx = LorentzIndex(*idx)
@@ -184,23 +179,22 @@ def lorentz_norm(f, idx):
     if m == 0.0:
         return 0.0
     order = np.argsort(-v, kind="stable")
-    u = v[order] / m
     w = f.lengths[order]
-    ends = np.cumsum(w)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if q == math.inf:
-            norm = m * float(np.max(u * ends ** (1.0 / p)))
-        else:
-            starts = ends - w
-            e = q / p
-            s = float(np.sum(u**q * ((p / q) * (ends**e - starts**e))))
-            if s < sys.float_info.min:
-                raise DomainError(f"L^({p},{q}) evaluation underflows the "
-                                  f"float range (step sum {s:.3g})")
-            norm = m * s ** (1.0 / q)
+    peak = np.cumsum(w)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        w /= peak  # w_i / e_i
+        peak **= 1.0 / p
+        peak *= v[order] / m
+        top = float(np.max(peak))
+        if q != math.inf:
+            np.log1p(np.negative(w, out=w), out=w)
+            np.expm1(np.multiply(w, q / p, out=w), out=w)
+            np.power(np.divide(peak, top, out=peak), q, out=peak)
+            peak *= w
+            top *= (-(p / q) * float(np.sum(peak))) ** (1.0 / q)
+        norm = m * top
     if not math.isfinite(norm):
-        raise DomainError(f"L^({p},{q}) evaluation overflows the float range "
-                          f"(total length {ends[-1]:.6g})")
+        raise DomainError(f"L^({p},{q}) norm overflows the float range")
     return norm
 
 

@@ -3,9 +3,9 @@
 Meshes combine uniform panels no wider than half an oscillation period with
 a geometric grading toward an endpoint power singularity; each panel uses a
 fixed-order Gauss-Legendre rule, and the error estimate comes from comparing
-the mesh against its halving (plus explicit bounds for the cutoff panel at
-the singular end and for accumulation roundoff). Estimates are conservative
-by construction: refining the mesh moves results by less than the estimate.
+the mesh against its halving (plus the bound of the closed-form panel at the
+singular end and a roundoff floor). Estimates are conservative by
+construction: refining the mesh moves results by less than the estimate.
 """
 import math
 from dataclasses import dataclass
@@ -76,9 +76,10 @@ def _halving_estimate(panels, edges):
 
     panels(edges) returns (value, sum of |panel contributions|). The
     estimate is the coarse/fine gap plus 64 eps times the fine abs sum, a
-    floor that bounds the roundoff of either summation the routes use:
-    math.fsum (powcos_panels) or pairwise ndarray.sum (Laplace, where fsum
-    would cost about 30% and tighten nothing the floor does not cover).
+    floor that bounds the roundoff of every summation the routes use:
+    math.fsum (powcos_panels), pairwise ndarray.sum (Laplace, where fsum
+    would cost about 30% and tighten nothing the floor does not cover), and
+    np.add.reduceat over fewer than 64 panels (period_table's periods).
     """
     halved = np.empty(2 * edges.size - 1)
     halved[0::2] = edges
@@ -88,37 +89,40 @@ def _halving_estimate(panels, edges):
     return fine, abs(fine - coarse) + 64.0 * _EPS * abssum, abssum
 
 
+def singular_end(a, freq, L, cap, spec=DEFAULT_SPEC):
+    """(edges, head, bound): _graded_mesh of [h, L]; over [0, h] the integral
+    of s^a cos(freq s) is head = h^g/g (g = a + 1) within bound = freq^2
+    h^(g+2)/(2 (g+2)), as cos x = 1 - 2 sin^2(x/2); bound <= 1e-4 tol cap^g/g.
+    """
+    g = a + 1.0
+    target = 2e-4 * (g + 2.0) * spec.relative_tolerance * cap**g / g
+    hmin = min(cap, (target / freq**2) ** (1.0 / (g + 2.0))) if freq else cap
+    edges = _graded_mesh(L, cap, hmin)[1:]
+    h = float(edges[0])
+    return edges, h**g / g, freq**2 * h ** (g + 2.0) / (2.0 * (g + 2.0))
+
+
 def powcos_quadrature(a, shift, freq, L, spec=DEFAULT_SPEC):
     """(value, error estimate) for integral of (shift+s)^a cos(freq s) on [0, L].
 
-    Uniform panels are capped at half a period pi/freq. When the integrand
-    has endpoint power behavior at 0 (shift == 0 and non-integer exponent)
-    a geometric layer grades toward 0, its innermost edge placed so the
-    cutoff panel's possible contribution stays far below tolerance, and the
-    estimate adds four times the crude bound on that cutoff panel. No
-    tolerance gate is applied here; callers compare the estimate against
-    their own scale.
+    Uniform panels are capped at half a period pi/freq; with shift == 0,
+    singular_end's head joins the value and its bound the estimate. No
+    tolerance gate is applied; callers compare against their own scale.
     """
     cap = min(L / 2.0, math.pi / freq) if freq > 0.0 else L / 2.0
-    g = a + 1.0
-    hmin = None
-    if shift == 0.0 and a not in (0.0, 1.0):
-        target = 1e-4 * spec.relative_tolerance * L**g / g
-        hmin = max((g * target) ** (1.0 / g), 1e-280)
-    edges = _graded_mesh(L, cap, hmin)
+    edges, head, bound = (singular_end(a, freq, L, cap, spec) if shift == 0.0
+                          else (_graded_mesh(L, cap, None), 0.0, 0.0))
     fine, est, _ = _halving_estimate(
         lambda e: powcos_panels(a, shift, freq, e, _NODES, _WEIGHTS), edges)
-    if hmin is not None:  # the fine mesh's cutoff panel is [0, edges[1]/2]
-        est += 4.0 * (0.5 * edges[1]) ** g / g
-    return fine, est
+    return fine + head, est + bound
 
 
 def singular_oscillatory_integral(gamma_exp, n, spec=DEFAULT_SPEC):
     """Integral of s^(gamma_exp - 1) cos(n s) over (0, pi).
 
     gamma_exp in (0, 2]: exponents in (0, 1) give an integrable singularity;
-    (1, 2] gives continuous integrands with singular derivatives, handled by
-    the same graded mesh.
+    (1, 2] gives continuous integrands with singular derivatives; both go
+    through the same closed singular end and graded mesh.
     """
     value, _ = singular_oscillatory_detail(gamma_exp, n, spec)
     return value
@@ -130,8 +134,12 @@ def singular_oscillatory_detail(gamma_exp, n, spec=DEFAULT_SPEC):
         raise DomainError(f"gamma_exp must lie in (0, 2], got {gamma_exp}")
     if n != int(n) or n < 0:
         raise DomainError(f"n must be a nonnegative integer, got {n}")
-    value, est = powcos_quadrature(gamma_exp - 1.0, 0.0, float(n), math.pi, spec)
-    scale = math.pi**gamma_exp / gamma_exp
+    g, a = gamma_exp, gamma_exp - 1.0
+    value, est = powcos_quadrature(a, 0.0, float(n), math.pi, spec)
+    # |a + 1 - g| times twice the integral of s^(g-1) |ln s| over (0, pi)
+    est += 2.0 * abs(math.fsum([a, 1.0, -g])) / g**2 * (
+        math.pi**g * (g * math.log(math.pi) - 1.0) + 2.0)
+    scale = math.pi**g / g
     if est > spec.relative_tolerance * max(abs(value), 0.01 * scale):
         raise ToleranceNotMet(
             f"estimate {est:.3e} exceeds tolerance for gamma_exp={gamma_exp}, "

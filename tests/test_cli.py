@@ -9,7 +9,8 @@ import pytest
 from weissbench import StepFunction, lorentz_norm
 from weissbench.cli import main
 from weissbench.errors import (EXIT_CHECK_FAILED, EXIT_CONFIG_INVALID,
-                               EXIT_IO_ERROR, EXIT_OK, DomainError)
+                               EXIT_IO_ERROR, EXIT_OK, DomainError,
+                               ToleranceNotMet)
 from weissbench.reporting import (check, format_cell, summary_payload,
                                   write_csv)
 from weissbench.semigroup import lambda_grid
@@ -113,13 +114,13 @@ def test_lorentz_norm_malformed_rows_are_config_errors(tmp_path, capsys,
 
 def test_lorentz_norm_overflow_is_config_error(tmp_path, capsys):
     path = tmp_path / "huge.csv"
-    path.write_text("breakpoint,value\n0,1\n1e308,1\n1.7e308,\n")
+    path.write_text("breakpoint,value\n0,1e308\n1e10,\n")
     code = main(["lorentz-norm", "--input", str(path),
                  "--output-dir", str(tmp_path)])
     assert code == EXIT_CONFIG_INVALID
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "overflows the float range" in captured.err
+    assert "norm overflows the float range" in captured.err
 
 
 # ------------------------------------------------------------ validation
@@ -248,9 +249,15 @@ def test_failed_check_exits_1(tmp_path, capsys, monkeypatch):
     assert payload["checks"][0]["pass"] is False
 
 
-def test_suite_error_becomes_failed_check(tmp_path, capsys):
-    # gamma = 1/30 is below what the graded head panel can certify, so the
-    # counterexample suite raises ToleranceNotMet; the run still records it
+def test_suite_error_becomes_failed_check(tmp_path, capsys, monkeypatch):
+    from weissbench import cli
+
+    def uncertified(*args, **kwargs):
+        raise ToleranceNotMet("injected", value=1.0, estimate=2.0)
+
+    # a quadrature that cannot certify its result inside the suite; the run
+    # still records it
+    monkeypatch.setattr(cli.ce, "XiTable", uncertified)
     code = main(["counterexample", "--q", "30", "--output-dir", str(tmp_path)])
     assert code == EXIT_CHECK_FAILED
     assert "FAILED counterexample-suite: ToleranceNotMet" \
@@ -261,6 +268,14 @@ def test_suite_error_becomes_failed_check(tmp_path, capsys):
     assert entry["name"] == "counterexample-suite"
     assert entry["pass"] is False
     assert entry["details"].startswith("ToleranceNotMet: ")
+
+
+def test_counterexample_suite_small_gamma(tmp_path):
+    # gamma = 1/30: the singular head of s^(gamma-1) is taken in closed
+    # form, so every check of the suite is certified
+    code = main(["counterexample", "--q", "30", "--output-dir", str(tmp_path)])
+    assert code == EXIT_OK
+    assert_all_pass(str(tmp_path))
 
 
 def test_domain_error_inside_a_suite_exits_2(tmp_path, capsys, monkeypatch):

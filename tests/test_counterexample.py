@@ -116,6 +116,15 @@ def test_period_table_estimates_cover_oracle_errors(p4):
         period_table(g - 1.0, 0)
 
 
+def test_period_table_is_not_capped_by_the_panel_budget():
+    # only the first period is graded; the 4 * 150_000 halved panels of the
+    # tail lie far beyond MAX_PANELS
+    values, est = period_table(-0.75, 150_000)
+    assert values.size == est.size == 150_000
+    assert np.all(np.isfinite(values)) and np.all(np.diff(est) > 0.0)
+    assert est[-1] < 1e-9
+
+
 def test_xi_positive_and_dominated_by_head(p4, table4):
     assert np.all(table4.values > 0.0)
     assert np.all(table4.values[1:] < table4[0])
@@ -326,8 +335,7 @@ def test_gram_cache_far_entries_against_reference(p4):
 
 
 def test_gram_cache_raises_instead_of_storing_uncertified(p4, monkeypatch):
-    # at tol 1e-12 the roundoff floor of small-d entries exceeds the gate,
-    # while the head and the diagonal still pass theirs
+    # at tol 1e-12 the roundoff floor of small-d entries exceeds the gate
     tight = QuadratureSpec(relative_tolerance=1e-12)
     with pytest.raises(ToleranceNotMet, match=r"Gram entry d=\d+$"):
         GramCache(p4, 64, tight)

@@ -398,12 +398,18 @@ def test_csv_rejects_malformed(tmp_path):
 
 
 def test_norm_overflow_raises_domain_error():
-    # the total length stays finite; end^(q/p) overflows for q/p = 2
+    # end^(q/p) of 1.7e308 would overflow for q/p = 2; the norm itself is
+    # (p/q)^(1/q) * 1.7e308^(1/2), an ordinary float
     f = StepFunction([0.0, 1e308, 1.7e308], [1.0, 1.0])
-    with pytest.raises(DomainError, match="overflows the float range"):
-        lorentz_norm(f, (2.0, 4.0))
+    assert lorentz_norm(f, (2.0, 4.0)) == \
+        pytest.approx(0.5**0.25 * 1.7e308**0.5, rel=1e-15)
     assert lorentz_norm(f, (2.0, math.inf)) == \
         pytest.approx(1.7e308 ** 0.5, rel=1e-15)
+    # 1e308 * (1e10)^(1/2) really exceeds the float range
+    huge = StepFunction([0.0, 1e10], [1e308])
+    for q in (4.0, math.inf):
+        with pytest.raises(DomainError, match=r"norm overflows the float"):
+            lorentz_norm(huge, (2.0, q))
 
 
 def test_large_q_top_value_does_not_overflow():
@@ -417,14 +423,14 @@ def test_large_q_top_value_does_not_overflow():
         assert lorentz_norm(scaled, (2.0, 2000.0)) == math.ldexp(base, k)
 
 
-@pytest.mark.parametrize("breakpoints, values, q", [
-    ([0.0, 0.1], [1.0], 2000.0),
-    ([0.0, 0.1, 1.0], [1.0, 0.5], 2000.0),
-    ([0.0, 1e-3], [3.0], 1200.0),
+@pytest.mark.parametrize("breakpoints, values, q, want", [
+    ([0.0, 0.1], [1.0], 2000.0, 0.1**0.5 * 1e-3**(1.0 / 2000.0)),
+    # 0.5^q dominates 0.1^(q/p) by a factor 10^398: only the second step
+    ([0.0, 0.1, 1.0], [1.0, 0.5], 2000.0, 0.5 * 1e-3**(1.0 / 2000.0)),
+    ([0.0, 1e-3], [3.0], 1200.0, 3.0 * 1e-3**0.5 * (1.0 / 600.0)**(1 / 1200)),
 ], ids=["one-step", "two-steps", "short-step"])
-def test_large_q_underflow_raises_domain_error(breakpoints, values, q):
-    # end^(q/p) of the short top segment underflows to 0; the step sum
-    # would round the norm to 0.0 instead of about 0.315 for the first case
+def test_large_q_short_top_segment(breakpoints, values, q, want):
+    # end^(q/p) of the short top segment underflows to 0; scaled by the
+    # weak-type peak, the step sum keeps the norm (about 0.315 for the first)
     f = StepFunction(breakpoints, values)
-    with pytest.raises(DomainError, match="underflows the float range"):
-        lorentz_norm(f, (2.0, q))
+    assert lorentz_norm(f, (2.0, q)) == pytest.approx(want, rel=1e-14)

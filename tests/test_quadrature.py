@@ -83,6 +83,26 @@ def test_estimate_brackets_mesh_refinement():
         assert abs(value - want) <= est, (g, n)
 
 
+def test_small_gamma_keys_certify():
+    # gamma = 1/q down to q = 100 and the Gram exponent at q = 30: the
+    # closed singular end certifies them at the default tolerance
+    keys = [k for k in POWCOS_REF if k[0] in (1.0 / 30.0, 0.01, 59.0 / 30.0)]
+    assert len(keys) == 11
+    for g, n in keys:
+        value, est = singular_oscillatory_detail(g, n)
+        assert abs(value - POWCOS_REF[(g, n)]) <= est, (g, n)
+
+
+def test_estimate_covers_exponent_rounding():
+    # g - 1.0 rounds for these g; the exponent error delta moves the value
+    # by about |delta| / g^2, far above the mesh estimate
+    for g in (1e-4, 1e-6):
+        assert math.fsum([g - 1.0, 1.0, -g]) != 0.0
+        for n in (1, 7):
+            value, est = singular_oscillatory_detail(g, n)
+            assert abs(value - POWCOS_REF[(g, n)]) <= est, (g, n)
+
+
 def test_estimate_positive_and_small():
     _, est = singular_oscillatory_detail(0.25, 17)
     assert 0.0 < est < 1e-10
