@@ -314,24 +314,23 @@ def orbit_lower_bound_check(params, n_range, samples_per_interval,
                                  spec=spec)
     if np.any(witness.xi.values < 0.0):
         raise DomainError("lower bound needs nonnegative coefficients")
-    worst = (math.inf, -1, math.nan)
-    count = 0
-    for n in range(n_lo, n_hi + 1):
-        offsets = np.arange(samples_per_interval) / samples_per_interval
-        ts = 4.0 ** (-n - 1) * (1.0 + 3.0 * offsets)
-        bound = witness.xi.values[n] * 2.0**n / math.e
-        for t in ts:
-            obs = orbit_observation(witness.system, witness.xi, float(t),
-                                    tail_tolerance)
-            slack = float(obs.value) - bound
-            count += 1
-            if slack < worst[0]:
-                worst = (slack, n, float(t))
-            if slack < -tail_tolerance:
-                raise BoundViolated(
-                    f"orbit fell below its certified bound at n={n}, "
-                    f"t={t:.6e} (slack {slack:.3e})", n=n, t=float(t))
-    return LowerBoundReport(worst[0], worst[1], worst[2], count)
+    per = samples_per_interval
+    ns = np.repeat(np.arange(n_lo, n_hi + 1), per)
+    ts = 4.0 ** (-ns - 1.0) \
+        * (1.0 + 3.0 * np.tile(np.arange(per) / per, n_hi - n_lo + 1))
+    bound = witness.xi.values[ns] * 2.0**ns / math.e
+    slack = orbit_observation(witness.system, witness.xi, ts,
+                              tail_tolerance).value - bound
+    violated = np.flatnonzero(slack < -tail_tolerance)
+    if violated.size:  # the first violation in (n, t) order
+        i = violated[0]
+        raise BoundViolated(
+            f"orbit fell below its certified bound at n={ns[i]}, "
+            f"t={ts[i]:.6e} (slack {slack[i]:.3e})", n=int(ns[i]),
+            t=float(ts[i]))
+    i = np.argmin(slack)
+    return LowerBoundReport(float(slack[i]), int(ns[i]), float(ts[i]),
+                            ts.size)
 
 
 def gram_entry(j, k, params, spec=DEFAULT_SPEC):

@@ -6,6 +6,8 @@ scalar observation functional. Orbits, resolvents, and Weiss quotients are
 truncated series whose returned values always come with a certified tail
 bound: terms inside the active range are summed exactly (fsum) and the part
 beyond the smallest admissible index is bounded by measured geometric decay.
+Observations take one point or a 1-d array of points; each point keeps its
+own truncation, bit for bit the one a single-point call makes.
 """
 import math
 from typing import NamedTuple
@@ -92,13 +94,14 @@ class CoefficientVector:
         v = np.asarray(values, dtype=float)
         if v.ndim != 1 or v.size == 0 or not np.all(np.isfinite(v)):
             raise DomainError("coefficients must be a finite 1-d float array")
-        if tail_sup < 0.0:
+        if not tail_sup >= 0.0:
             raise DomainError("tail_sup must be >= 0")
         self.values = v
         self.tail_sup = float(tail_sup)
 
 
 class ObservedValue(NamedTuple):
+    # over an array of points: arrays of values and tails, the largest count
     value: complex
     tail_bound: float
     n_terms: int
@@ -108,50 +111,68 @@ class ObservedValue(NamedTuple):
                      else self.value)
 
 
-def _beyond_active_bound(weights, tail_sup, what):
-    """Bound tail_sup * sum of weights beyond the active range.
+def _truncated_sum(terms, abs_terms, weights, tail_sup, tol, one, what):
+    """Smallest-N truncation of each row of terms, tail certified below tol.
 
-    weights holds the per-mode factors (c_k e^{-mu_k t} or c_k/mu_k) inside
-    the active range; their measured decay must be geometric with
-    non-increasing ratios at the end, which extends rigorously to log-convex
-    growth rules like the default powers-of-two/four systems.
+    Beyond the active range the tail is at most tail_sup times the sum of
+    the per-mode factors in weights (c_k e^{-mu_k t} or c_k/mu_k); their
+    measured decay must be geometric with non-increasing ratios at the end,
+    which extends rigorously to log-convex growth rules like the default
+    powers-of-two/four systems. Row i then keeps the smallest count N_i
+    whose tail sum_{k>=N_i} |term_ik| + beyond_i is below tol, and sums
+    those terms exactly (fsum). abs_terms and weights hold a row for every
+    row of terms, or one shared by all; one returns the first row alone.
     """
-    if tail_sup == 0.0:
-        return 0.0
-    w = weights[-4:]
-    if w[-1] == 0.0:
-        return 0.0
-    ratios = w[1:] / w[:-1]
-    if np.any(~np.isfinite(ratios)) or np.any(ratios > _RATIO_CAP) \
-            or np.any(np.diff(ratios) > 1e-12):
-        raise TruncationOverflow(
-            f"{what}: cannot certify the tail beyond the {len(weights)} "
-            "active modes (no certified geometric decay)")
-    r = float(ratios[-1])
-    return tail_sup * w[-1] * r / (1.0 - r)
-
-
-def _truncated_sum(terms, abs_terms, beyond, tol, what):
-    """Smallest-N truncation with certified tail below tol.
-
-    Returns (sum of terms up to N, tail bound, N+1) where tail(N) =
-    sum_{k>N} |term_k| + beyond is the smallest certified value below tol.
-    """
-    if beyond >= tol:
+    if not tol > 0.0:
+        raise DomainError("tol must be positive")
+    beyond = np.zeros(len(weights))
+    if tail_sup > 0.0:
+        w = weights[:, -4:]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = w[:, 1:] / w[:, :-1]
+            steps = ratios[:, 1:] - ratios[:, :-1]
+            r = ratios[:, -1]
+            bound = tail_sup * w[:, -1] * r / (1.0 - r)
+        live = w[:, -1:] != 0.0  # a row whose last weight underflowed: no tail
+        uncertified = ~(ratios <= _RATIO_CAP)
+        uncertified[:, 1:] |= steps > 1e-12
+        if (live & uncertified).any():
+            raise TruncationOverflow(
+                f"{what}: cannot certify the tail beyond the "
+                f"{weights.shape[1]} active modes (no certified geometric "
+                "decay)")
+        beyond = np.fmax(bound, 0.0)  # 0 or nan on rows without a tail: 0
+    if beyond.max() >= tol:
         raise TruncationOverflow(
             f"{what}: tail beyond the active range is certified only to "
-            f"{beyond:.3e}, above tolerance {tol:.3e}")
-    suffix = np.concatenate((np.cumsum(abs_terms[::-1])[::-1][1:], [0.0]))
+            f"{beyond.max():.3e}, above tolerance {tol:.3e}")
+    suffix = np.zeros(abs_terms.shape)
+    suffix[:, :-1] = abs_terms[:, :0:-1].cumsum(1)[:, ::-1]
     suffix *= 1.0 + 256.0 * _EPS  # cumsum roundoff must not undercut the bound
-    admissible = np.nonzero(suffix + beyond < tol)[0]
-    n_last = int(admissible[0])
-    tail = float(suffix[n_last] + beyond)
+    bounds = suffix + beyond[:, None]
+    first = (bounds < tol).argmax(1)  # the last column always passes
+    share = len(terms) // len(bounds)  # a shared row serves every point
+    counts = (first + 1).repeat(share)
+    tails = bounds[np.arange(len(bounds)), first].repeat(share)
     if np.iscomplexobj(terms):
-        value = complex(math.fsum(terms[: n_last + 1].real),
-                        math.fsum(terms[: n_last + 1].imag))
+        sums = [complex(math.fsum(row[:n].real.tolist()),
+                        math.fsum(row[:n].imag.tolist()))
+                for row, n in zip(terms, counts)]
     else:
-        value = math.fsum(terms[: n_last + 1])
-    return value, tail, n_last + 1
+        sums = [math.fsum(row[:n].tolist()) for row, n in zip(terms, counts)]
+    if one:
+        return ObservedValue(sums[0], float(tails[0]), int(counts[0]))
+    return ObservedValue(np.array(sums), tails, int(counts.max()))
+
+
+def _points(x, dtype, what):
+    """x as a 1-d array of points in the domain, and whether x was one."""
+    points = np.asarray(x, dtype=dtype)
+    if points.ndim > 1 or points.size == 0:
+        raise DomainError(f"{what} must be one point or a nonempty 1-d array")
+    if not points.real.min() > 0.0:
+        raise DomainError(f"{what} must have a positive real part")
+    return points.reshape(-1), points.ndim == 0
 
 
 def _active_slice(sys, xi):
@@ -165,33 +186,22 @@ def _active_slice(sys, xi):
 
 def orbit_observation(sys, xi, t, tol):
     """Observed orbit sum_k xi_k c_k exp(-mu_k t) with certified tail < tol."""
-    if not t > 0.0:
-        raise DomainError("t must be positive")
-    if not tol > 0.0:
-        raise DomainError("tol must be positive")
+    t, one = _points(t, float, "t")
     v, mu, c = _active_slice(sys, xi)
-    decay = np.abs(c) * np.exp(-mu * t)
-    beyond = _beyond_active_bound(decay, xi.tail_sup, "orbit_observation")
-    terms = v * c * np.exp(-mu * t)
-    value, tail, n = _truncated_sum(terms, np.abs(terms), beyond, tol,
-                                    "orbit_observation")
-    return ObservedValue(value, tail, n)
+    decay = np.exp(-mu * t[:, None])
+    terms = v * c * decay
+    return _truncated_sum(terms, np.abs(terms), np.abs(c) * decay,
+                          xi.tail_sup, tol, one, "orbit_observation")
 
 
 def resolvent_observation(sys, xi, lam, tol):
     """Observed resolvent sum_k xi_k c_k/(lam + mu_k), certified tail < tol."""
-    lam = complex(lam)
-    if not lam.real > 0.0:
-        raise DomainError("resolvent_observation needs Re(lambda) > 0")
-    if not tol > 0.0:
-        raise DomainError("tol must be positive")
+    lam, one = _points(lam, complex, "lambda")
     v, mu, c = _active_slice(sys, xi)
     weights = np.abs(c) / mu  # |c/(lam+mu)| <= |c|/mu on the right half-plane
-    beyond = _beyond_active_bound(weights, xi.tail_sup, "resolvent_observation")
-    terms = (v * c).astype(complex) / (lam + mu)
-    value, tail, n = _truncated_sum(terms, np.abs(v) * weights, beyond, tol,
-                                    "resolvent_observation")
-    return ObservedValue(value, tail, n)
+    terms = (v * c).astype(complex) / (lam[:, None] + mu)
+    return _truncated_sum(terms, (np.abs(v) * weights)[None], weights[None],
+                          xi.tail_sup, tol, one, "resolvent_observation")
 
 
 def orbit_callable(sys, xi):
@@ -212,11 +222,16 @@ def orbit_callable(sys, xi):
 
 
 def weiss_quotient(sys, xi, x_norm, lam, tol=1e-12):
-    """Re(lam)^(1/2) |resolvent observation| / x_norm."""
+    """Re(lam)^(1/2) |resolvent observation| / x_norm, at lam or over it."""
     if not x_norm > 0.0:
         raise DomainError("x_norm must be positive")
-    res = resolvent_observation(sys, xi, lam, tol)
-    return math.sqrt(complex(lam).real) * abs(res.value) / x_norm
+    values = np.atleast_1d(resolvent_observation(sys, xi, lam, tol).value)
+    lam = np.asarray(lam, dtype=complex)  # validated by the call above
+    # Python's complex modulus: np.abs differs from it in the last bit
+    quotient = [math.sqrt(point.real) * abs(value) / x_norm
+                for point, value in zip(lam.reshape(-1).tolist(),
+                                        values.tolist())]
+    return quotient[0] if lam.ndim == 0 else np.array(quotient)
 
 
 def weiss_norm_orthonormal(sys, lam, tol):
@@ -225,42 +240,29 @@ def weiss_norm_orthonormal(sys, lam, tol):
     The caller asserts the underlying basis is orthonormal; only then is the
     l2 formula the operator norm of the observed resolvent.
     """
-    lam = complex(lam)
-    if not lam.real > 0.0:
-        raise DomainError("weiss_norm_orthonormal needs Re(lambda) > 0")
-    if not tol > 0.0:
-        raise DomainError("tol must be positive")
+    lam, one = _points(lam, complex, "lambda")
     limit = (sys.c / sys.mu) ** 2
     if _upper_half_ratio(limit) >= 1.0:
         raise DivergentSum(
             "sum c_k^2/mu_k^2 diverges over the active modes")
-    terms = sys.c**2 / np.abs(lam + sys.mu) ** 2
-    beyond = _beyond_active_bound(limit, 1.0, "weiss_norm_orthonormal") \
-        if limit[-1] > 0.0 else 0.0
-    value, _, _ = _truncated_sum(terms, terms, beyond, tol,
-                                 "weiss_norm_orthonormal")
-    return math.sqrt(lam.real) * math.sqrt(value)
+    terms = sys.c**2 / np.abs(lam[:, None] + sys.mu) ** 2
+    sums = _truncated_sum(terms, terms, limit[None], 1.0, tol, False,
+                          "weiss_norm_orthonormal").value
+    norms = np.sqrt(lam.real) * np.sqrt(sums)
+    return float(norms[0]) if one else norms
 
 
 def decay_profile(sys, xi, x_norm, t_grid, tol=1e-12):
     """Samples (t, t^(1/2) |orbit(t)| / x_norm) over a positive grid."""
     if not x_norm > 0.0:
         raise DomainError("x_norm must be positive")
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.size == 0 or not np.all(t_grid > 0.0):
-        raise DomainError("t_grid must be positive and nonempty")
-    out = np.empty((t_grid.size, 2))
-    for i, t in enumerate(t_grid):
-        obs = orbit_observation(sys, xi, float(t), tol)
-        out[i] = (t, math.sqrt(t) * abs(obs.value) / x_norm)
-    return out
+    orbit = orbit_observation(sys, xi, t_grid, tol).value
+    return np.column_stack([t_grid, np.sqrt(t_grid) * np.abs(orbit) / x_norm])
 
 
 def decay_norm_orthonormal(sys, t_grid):
     """t^(1/2) * l2 norm of (c_k exp(-mu_k t)): operator decay samples."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.size == 0 or not np.all(t_grid > 0.0):
-        raise DomainError("t_grid must be positive and nonempty")
+    t_grid, _ = _points(t_grid, float, "t_grid")
     sq = np.exp(-2.0 * np.outer(t_grid, sys.mu)) @ sys.c**2
     return np.sqrt(t_grid) * np.sqrt(sq)
 

@@ -278,6 +278,23 @@ def test_counterexample_suite_small_gamma(tmp_path):
     assert_all_pass(str(tmp_path))
 
 
+def test_counterexample_huge_q_strong_norm_monotone(tmp_path):
+    # at q = 1e6 the orbit's (2, q) norm raised to the q-th power leaves the
+    # float range; the monotonicity gate compares q log(norm) instead
+    code = main(["counterexample", "--q", "1e6", "--output-dir",
+                 str(tmp_path)])
+    assert code == EXIT_OK
+
+    def reject(constant):
+        raise ValueError(f"summary.json holds {constant}")
+
+    text = (tmp_path / "summary.json").read_text()
+    checks = {c["name"]: c for c in
+              json.loads(text, parse_constant=reject)["checks"]}
+    assert checks["strong-norm-monotone"]["pass"]
+    assert checks["strong-norm-monotone"]["worst_slack"] > 0.0
+
+
 def test_domain_error_inside_a_suite_exits_2(tmp_path, capsys, monkeypatch):
     from weissbench import cli
 

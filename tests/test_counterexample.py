@@ -237,8 +237,9 @@ def test_orbit_lower_bound_violation_detected(p4):
     wit = WitnessSystem(weak, CoefficientVector([1.0, 1.0]), 1.0, None)
     with pytest.raises(BoundViolated) as info:
         orbit_lower_bound_check(p4, (0, 0), 2, witness=wit)
+    # the first violating sample in (n, t) order: t = 4^-1 at n = 0
     assert info.value.n == 0
-    assert info.value.t > 0.0
+    assert info.value.t == 0.25
 
 
 def test_divergence_profile_columns(p4):

@@ -53,6 +53,8 @@ def test_coefficient_vector_validation():
         CoefficientVector([math.nan])
     with pytest.raises(DomainError):
         CoefficientVector([1.0], tail_sup=-0.1)
+    with pytest.raises(DomainError):
+        CoefficientVector([1.0], tail_sup=math.nan)
     assert CoefficientVector([1.0]).tail_sup == 0.0
 
 
@@ -262,3 +264,91 @@ def test_lambda_grid_geometry():
 def test_observed_value_float_coercion():
     assert float(ObservedValue(2.5 + 0.0j, 0.0, 1)) == 2.5
     assert float(ObservedValue(3.0, 0.0, 1)) == 3.0
+
+
+# ---------------------------------------------------------- batch contract
+@pytest.fixture(scope="module")
+def witness4():
+    return witness_system(CounterexampleParams(4.0))
+
+
+def test_orbit_batch_matches_per_point_loop(witness4):
+    sys_, xi = witness4.system, witness4.xi
+    ts = np.logspace(-8.0, 1.0, 129)
+    batch = orbit_observation(sys_, xi, ts, 1e-12)
+    loop = [orbit_observation(sys_, xi, float(t), 1e-12) for t in ts]
+    assert np.array_equal(batch.value, [obs.value for obs in loop])
+    assert np.array_equal(batch.tail_bound, [obs.tail_bound for obs in loop])
+    assert type(batch.n_terms) is int
+    assert batch.n_terms == max(obs.n_terms for obs in loop)
+    assert type(loop[0].value) is float and type(loop[0].n_terms) is int
+
+
+def test_resolvent_batch_matches_per_point_loop(witness4):
+    sys_, xi = witness4.system, witness4.xi
+    lams = lambda_grid()
+    batch = resolvent_observation(sys_, xi, lams, 1e-12)
+    loop = [resolvent_observation(sys_, xi, lam, 1e-12) for lam in lams]
+    assert all(complex(got) == obs.value
+               for got, obs in zip(batch.value, loop))
+    assert np.array_equal(batch.tail_bound, [obs.tail_bound for obs in loop])
+    assert type(batch.n_terms) is int
+    assert batch.n_terms == max(obs.n_terms for obs in loop)
+    assert type(loop[0].value) is complex
+
+
+def test_weiss_quotient_batch_matches_per_point_loop(witness4):
+    lams = lambda_grid(n_moduli=49, n_args=33)
+    args = (witness4.system, witness4.xi, witness4.x_norm)
+    batch = weiss_quotient(*args, lams)
+    loop = [weiss_quotient(*args, lam) for lam in lams]
+    assert np.array_equal(batch, loop)
+    assert type(loop[0]) is float
+    # the modulus is Python's abs(complex), which np.abs does not match
+    # in the last bit at every point
+    res = [resolvent_observation(*args[:2], lam, 1e-12).value for lam in lams]
+    want = [math.sqrt(lam.real) * abs(r) / args[2] for lam, r in zip(lams, res)]
+    assert np.array_equal(batch, want)
+
+
+def test_weiss_norm_orthonormal_batch_matches_per_point_loop():
+    sys_ = DiagonalSystem.sqrt_observation(n_active=60)
+    lams = lambda_grid(n_moduli=49, n_args=33)
+    batch = weiss_norm_orthonormal(sys_, lams, 1e-12)
+    loop = [weiss_norm_orthonormal(sys_, lam, 1e-12) for lam in lams]
+    assert np.array_equal(batch, loop)
+    assert type(loop[0]) is float
+
+
+def test_batch_with_one_uncertifiable_point_raises():
+    # at t = 1e-6 the ratios |c_k| e^{-mu_k t} of the last modes are near 2,
+    # so that point has no geometric tail certificate; the others do
+    sys_ = DiagonalSystem.default(n_active=8)
+    xi = CoefficientVector(np.ones(8), tail_sup=1.0)
+    orbit_observation(sys_, xi, np.array([1.0, 0.5]), 1e-6)
+    with pytest.raises(TruncationOverflow):
+        orbit_observation(sys_, xi, 1e-6, 1e-6)
+    with pytest.raises(TruncationOverflow):
+        orbit_observation(sys_, xi, np.array([1.0, 1e-6, 0.5]), 1e-6)
+
+
+@pytest.mark.parametrize("points", [np.ones((2, 2)), np.array([])])
+def test_malformed_point_arrays_are_domain_errors(points, witness4):
+    sys_, xi, x_norm = witness4.system, witness4.xi, witness4.x_norm
+    calls = (lambda: orbit_observation(sys_, xi, points, 1e-9),
+             lambda: resolvent_observation(sys_, xi, points, 1e-9),
+             lambda: weiss_quotient(sys_, xi, x_norm, points),
+             lambda: weiss_norm_orthonormal(
+                 DiagonalSystem.sqrt_observation(8), points, 1e-9),
+             lambda: decay_norm_orthonormal(sys_, points))
+    for call in calls:
+        with pytest.raises(DomainError):
+            call()
+
+
+def test_batch_point_outside_domain_is_domain_error(witness4):
+    sys_, xi = witness4.system, witness4.xi
+    with pytest.raises(DomainError):
+        orbit_observation(sys_, xi, np.array([1.0, 0.0]), 1e-9)
+    with pytest.raises(DomainError):
+        resolvent_observation(sys_, xi, np.array([1.0, -1.0 + 1.0j]), 1e-9)
