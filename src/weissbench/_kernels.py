@@ -2,17 +2,13 @@
 
 gauss_contributions evaluates, per panel, (h/2) * sum_i w_i * f(s_i) on the
 Gauss nodes s_i, for an elementwise integrand f, in passes of at most
-_BLOCK panels so temporaries stay bounded on any mesh; powcos_contributions
-does so for (shift + s)^a * cos(freq * s). powcos_panels returns the total and
-the sum of absolute panel contributions (used for roundoff floors in error
-estimates), both accumulated with math.fsum so results are deterministic
-and correctly rounded regardless of panel count.
+_BLOCK panels so temporaries stay bounded on any mesh; powcos_panels does so
+for (shift + s)^a * cos(freq * s). Both return the per-panel array and sum
+nothing: quadrature._halving_estimate is the one reducer of every route.
 """
-import math
-
 import numpy as np
 
-__all__ = ["gauss_contributions", "powcos_contributions", "powcos_panels"]
+__all__ = ["gauss_contributions", "powcos_panels"]
 
 _BLOCK = 32768  # panels per array pass
 
@@ -27,12 +23,7 @@ def gauss_contributions(f, edges, nodes, weights):
     return np.concatenate(parts)
 
 
-def powcos_contributions(a, shift, freq, edges, nodes, weights):
+def powcos_panels(a, shift, freq, edges, nodes, weights):
     return gauss_contributions(
         lambda s: np.power(shift + s, a) * np.cos(freq * s),
         edges, nodes, weights)
-
-
-def powcos_panels(a, shift, freq, edges, nodes, weights):
-    contrib = powcos_contributions(a, shift, freq, edges, nodes, weights)
-    return math.fsum(contrib), math.fsum(np.abs(contrib))

@@ -198,8 +198,7 @@ def _suite_orthonormal_model(args, outdir):
     checks = [check("orthonormal-sup-stable", 0.05 - change,
                     f"sup {sup:.6f} moves {change:.2%} when the grid "
                     "density doubles")]
-    count = int(math.ceil(math.log10(1.0 / 1e-8) * 64)) + 1
-    t_grid = np.logspace(-8.0, 0.0, count)
+    t_grid = semigroup.log_grid(1e-8, 1.0)
     decay = semigroup.decay_norm_orthonormal(system, t_grid)
     write_csv(os.path.join(outdir, "decay_orthonormal.csv"),
               ["t", "decay_sample"],
@@ -230,9 +229,7 @@ def _suite_orbit(args, outdir):
     params = ce.CounterexampleParams(args.q)
     spec = QuadratureSpec(relative_tolerance=args.tol)
     witness = ce.witness_system(params, spec=spec)
-    count = int(math.ceil(math.log10(args.tau / args.eps_min) * 64)) + 1
-    t_grid = np.logspace(math.log10(args.eps_min), math.log10(args.tau),
-                         count)
+    t_grid = semigroup.log_grid(args.eps_min, args.tau)
     profile = semigroup.decay_profile(witness.system, witness.xi,
                                       witness.x_norm, t_grid)
     write_csv(os.path.join(outdir, "decay.csv"), ["t", "decay_sample"],
@@ -374,6 +371,8 @@ def run(args):
     if args.command == "lorentz-norm":
         return _run_lorentz_norm(args, outdir)
     _validate_window(args)
+    if args.seed < 0:
+        raise DomainError("seed must be a nonnegative integer")
     QuadratureSpec(relative_tolerance=args.tol)
     params = ce.CounterexampleParams(args.q)
     suites = (("lorentz-closed-forms", _suite_lorentz_closed_forms),

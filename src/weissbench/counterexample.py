@@ -13,16 +13,14 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._kernels import powcos_panels
 from .errors import BoundViolated, DomainError, ToleranceNotMet
 from .lorentz import lorentz_norm, sample_steps
 from .quadrature import (_EPS, _NODES, _WEIGHTS, DEFAULT_SPEC,
                          _halving_estimate, gamma_function, powcos_quadrature,
                          singular_end, singular_oscillatory_integral)
-from .semigroup import (CoefficientVector, DiagonalSystem, orbit_callable,
-                        orbit_observation)
-# powcos_panels is unused here; the binding stays because perfbench's span
-# installer wraps every module binding of the kernel and its test checks it.
-from ._kernels import powcos_contributions, powcos_panels  # noqa: F401
+from .semigroup import (CoefficientVector, DiagonalSystem, log_grid,
+                        orbit_callable, orbit_observation)
 
 __all__ = [
     "CounterexampleParams",
@@ -129,14 +127,9 @@ def period_table(a, kmax, spec=DEFAULT_SPEC):
         raise DomainError(f"need a in (-1, 1], integer kmax >= 1: {a}, {kmax}")
     first, head, bound = singular_end(a, 1.0, math.pi, 0.5 * math.pi, spec)
     edges = np.append(first, 0.5 * math.pi * np.arange(3, 2 * kmax + 1))
-
-    def panels(e):  # the mesh or its halving: 2 or 4 panels a period
-        c = powcos_contributions(a, 0.0, 1.0, e, _NODES, _WEIGHTS)
-        per = 2 * (e.size - 1) // (edges.size - 1)
-        starts = np.r_[0, (first.size - 1) * per // 2:c.size:per]
-        return np.add.reduceat(c, starts), np.add.reduceat(np.abs(c), starts)
-
-    increments, local, _ = _halving_estimate(panels, edges)
+    increments, local, _ = _halving_estimate(
+        lambda e: powcos_panels(a, 0.0, 1.0, e, _NODES, _WEIGHTS), edges,
+        np.r_[0, first.size - 1:edges.size - 1:2])  # a group per period
     increments[0] += head
     local[0] += bound
     values = np.cumsum(increments)
@@ -264,7 +257,8 @@ def divergence_profile(params, eps_list, tau=1.0, witness=None,
     Columns: eps, closed-form envelope Lorentz (2,q) norm, sampled-orbit
     Lorentz (2,q) norm, sampled-orbit weak-L2 norm, all over (eps, tau).
     The weak column stabilizes while both (2,q) columns diverge like
-    log(1+log(1/eps))^(1/q): the quantitative endpoint separation.
+    log(1+log(1/eps))^(1/q): the quantitative endpoint separation. A
+    given witness must be built for params.q.
     """
     eps_arr = np.asarray(eps_list, dtype=float)
     if eps_arr.size == 0 or not np.all(np.diff(eps_arr) < 0.0):
@@ -275,12 +269,13 @@ def divergence_profile(params, eps_list, tau=1.0, witness=None,
         raise DomainError("per_decade must be at least 64")
     if witness is None:
         witness = witness_system(params, spec=spec)
+    elif witness.table.params.q != params.q:
+        raise DomainError("witness was built for another q")
     orbit = orbit_callable(witness.system, witness.xi)
     out = np.empty((eps_arr.size, 4))
     for i, eps in enumerate(eps_arr):
-        count = int(math.ceil(math.log10(tau / eps) * per_decade)) + 1
-        grid = np.logspace(math.log10(eps), math.log10(tau), count)
-        steps = sample_steps(orbit, grid, rule="left")
+        steps = sample_steps(orbit, log_grid(eps, tau, per_decade),
+                             rule="left")
         out[i] = (eps,
                   envelope_norm_q(float(eps), tau, params),
                   lorentz_norm(steps, (2.0, params.q)),
@@ -303,6 +298,7 @@ def orbit_lower_bound_check(params, n_range, samples_per_interval,
     The bound keeps only the k = n mode, whose exponent stays above e^{-1}
     there; nonnegativity of every other term makes it a lower bound. Slack
     below -tail_tolerance raises BoundViolated naming the offending (n, t).
+    A given witness needs more than n_hi active modes.
     """
     n_lo, n_hi = (int(n_range[0]), int(n_range[1]))
     if not (0 <= n_lo <= n_hi):
@@ -312,6 +308,9 @@ def orbit_lower_bound_check(params, n_range, samples_per_interval,
     if witness is None:
         witness = witness_system(params, n_modes=max(2 * (n_hi + 1), 60),
                                  spec=spec)
+    elif n_hi >= witness.system.n_active:
+        raise DomainError(f"n_hi={n_hi} needs a witness with more than "
+                          f"{witness.system.n_active} active modes")
     if np.any(witness.xi.values < 0.0):
         raise DomainError("lower bound needs nonnegative coefficients")
     per = samples_per_interval

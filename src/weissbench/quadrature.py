@@ -71,22 +71,28 @@ def _graded_mesh(L, cap, hmin):
     return np.concatenate(([0.0], geometric, np.linspace(cap, L, m_uni + 1)))
 
 
-def _halving_estimate(panels, edges):
-    """(fine value, estimate, fine abs sum) of the mesh against its halving.
+def _halving_estimate(contributions, edges, starts=(0,)):
+    """(fine value, estimate, fine abs sum) per group of panels, as arrays.
 
-    panels(edges) returns (value, sum of |panel contributions|). The
-    estimate is the coarse/fine gap plus 64 eps times the fine abs sum, a
-    floor that bounds the roundoff of every summation the routes use:
-    math.fsum (powcos_panels), pairwise ndarray.sum (Laplace, where fsum
-    would cost about 30% and tighten nothing the floor does not cover), and
-    np.add.reduceat over fewer than 64 panels (period_table's periods).
+    contributions(edges) returns the per-panel Gauss sums of a mesh; group i
+    starts at coarse panel starts[i], and at fine panel 2 starts[i] of the
+    halving. The estimate is the coarse/fine gap plus 64 eps times the fine
+    abs sum. That floor bounds the roundoff of np.add.reduceat, the one sum
+    every route takes: numpy adds a group's first term to a pairwise sum of
+    the rest, which sums blocks of at most 128 terms in 8 running sums plus
+    a remainder (at most 25 additions a term) and halves longer runs, at
+    most 13 times below 2 MAX_PANELS terms, complex ones too. A term meets
+    at most 39 additions, so the error is below 39 (eps/2) times abs sum.
     """
     halved = np.empty(2 * edges.size - 1)
     halved[0::2] = edges
     halved[1::2] = 0.5 * (edges[1:] + edges[:-1])
-    coarse, _ = panels(edges)
-    fine, abssum = panels(halved)
-    return fine, abs(fine - coarse) + 64.0 * _EPS * abssum, abssum
+    starts = np.asarray(starts)
+    coarse = np.add.reduceat(contributions(edges), starts)
+    c = contributions(halved)
+    fine = np.add.reduceat(c, 2 * starts)
+    abssum = np.add.reduceat(np.abs(c), 2 * starts)
+    return fine, np.abs(fine - coarse) + 64.0 * _EPS * abssum, abssum
 
 
 def singular_end(a, freq, L, cap, spec=DEFAULT_SPEC):
@@ -112,8 +118,8 @@ def powcos_quadrature(a, shift, freq, L, spec=DEFAULT_SPEC):
     cap = min(L / 2.0, math.pi / freq) if freq > 0.0 else L / 2.0
     edges, head, bound = (singular_end(a, freq, L, cap, spec) if shift == 0.0
                           else (_graded_mesh(L, cap, None), 0.0, 0.0))
-    fine, est, _ = _halving_estimate(
-        lambda e: powcos_panels(a, shift, freq, e, _NODES, _WEIGHTS), edges)
+    fine, est, _ = (v.item() for v in _halving_estimate(
+        lambda e: powcos_panels(a, shift, freq, e, _NODES, _WEIGHTS), edges))
     return fine + head, est + bound
 
 
@@ -166,11 +172,9 @@ def laplace_quadrature(orbit, lam, spec=DEFAULT_SPEC, *, T):
     def integrand(s):
         return np.asarray(orbit(s.ravel())).reshape(s.shape) * np.exp(-lam * s)
 
-    def panels(e):
-        contrib = gauss_contributions(integrand, e, _NODES, _WEIGHTS)
-        return complex(contrib.sum()), float(np.abs(contrib).sum())
-
-    fine, est, abssum = _halving_estimate(panels, _graded_mesh(T, cap, hmin))
+    fine, est, abssum = (v.item() for v in _halving_estimate(
+        lambda e: gauss_contributions(integrand, e, _NODES, _WEIGHTS),
+        _graded_mesh(T, cap, hmin)))
     if est > spec.relative_tolerance * max(abs(fine), 0.01 * abssum):
         raise ToleranceNotMet(
             f"estimate {est:.3e} exceeds tolerance for lambda={lam}, T={T}",

@@ -28,6 +28,7 @@ __all__ = [
     "decay_profile",
     "decay_norm_orthonormal",
     "lambda_grid",
+    "log_grid",
 ]
 
 _RATIO_CAP = 0.9  # certified geometric decay needs ratios at most this
@@ -105,10 +106,6 @@ class ObservedValue(NamedTuple):
     value: complex
     tail_bound: float
     n_terms: int
-
-    def __float__(self):
-        return float(self.value.real if isinstance(self.value, complex)
-                     else self.value)
 
 
 def _truncated_sum(terms, abs_terms, weights, tail_sup, tol, one, what):
@@ -277,3 +274,9 @@ def lambda_grid(n_moduli=25, n_args=17, mod_min=1e-4, mod_max=1e8):
     args = np.linspace(-math.pi / 2 + 0.01, math.pi / 2 - 0.01, n_args)
     grid = mods[:, None] * np.exp(1j * args[None, :])
     return grid.ravel()
+
+
+def log_grid(lo, hi, per_decade=64):
+    """Log-spaced points from lo to hi, at least per_decade to a decade."""
+    count = int(math.ceil(math.log10(hi / lo) * per_decade)) + 1
+    return np.logspace(math.log10(lo), math.log10(hi), count)

@@ -131,6 +131,7 @@ def test_lorentz_norm_overflow_is_config_error(tmp_path, capsys):
     ["orbit", "--tau", "2.0"],
     ["orbit", "--eps-min", "2.0"],
     ["weiss-scan", "--q", "1.0"],
+    ["full-report", "--seed", "-1"],  # np.random.default_rng raised
 ])
 def test_invalid_configuration_exits_2(tmp_path, capsys, argv):
     code = main(argv + ["--output-dir", str(tmp_path)])

@@ -227,6 +227,9 @@ def test_orbit_lower_bound_validation(p4):
         orbit_lower_bound_check(p4, (3, 1), 4)
     with pytest.raises(DomainError):
         orbit_lower_bound_check(p4, (0, 2), 0)
+    # index 60 of the 60 default coefficients raised a raw IndexError
+    with pytest.raises(DomainError, match="n_hi=70"):
+        orbit_lower_bound_check(p4, (0, 70), 2, witness=witness_system(p4))
 
 
 def test_orbit_lower_bound_violation_detected(p4):
@@ -256,6 +259,10 @@ def test_divergence_profile_columns(p4):
         divergence_profile(p4, [1e-2], tau=2.0, witness=wit)
     with pytest.raises(DomainError):
         divergence_profile(p4, [1e-2], per_decade=32, witness=wit)
+    # a q = 8 witness gave a plausible q = 4 row (orbit norm 4.361)
+    with pytest.raises(DomainError, match="another q"):
+        divergence_profile(p4, [1e-2], witness=witness_system(
+            CounterexampleParams(8.0)))
 
 
 # -------------------------------------------------------------------- basis

@@ -1,9 +1,12 @@
-"""The panel quadrature kernel against a per-node reference loop."""
+"""The panel quadrature kernel against a per-node reference loop, and the
+one reducer, quadrature._halving_estimate, that sums its panels."""
 import math
 
 import numpy as np
 
-from weissbench._kernels import powcos_contributions, powcos_panels
+from weissbench._kernels import gauss_contributions, powcos_panels
+from weissbench.quadrature import (_EPS, _graded_mesh, _halving_estimate,
+                                   singular_end)
 
 NODES, WEIGHTS = (np.ascontiguousarray(a)
                   for a in np.polynomial.legendre.leggauss(12))
@@ -38,21 +41,55 @@ def test_kernels_match_per_node_reference():
     for edges in meshes(rng):
         for a, shift, freq in cases:
             ref = reference_contributions(a, shift, freq, edges)
-            contrib = powcos_contributions(a, shift, freq, edges,
-                                           NODES, WEIGHTS)
+            contrib = powcos_panels(a, shift, freq, edges, NODES, WEIGHTS)
             assert contrib.shape == (edges.size - 1,)
             for got, (want, scale) in zip(contrib.tolist(), ref):
                 assert abs(got - want) <= 1e-14 * scale
-            value = math.fsum(want for want, _ in ref)
-            abs_sum = math.fsum(abs(want) for want, _ in ref)
-            floor = 1e-14 * math.fsum(scale for _, scale in ref)
-            v, s = powcos_panels(a, shift, freq, edges, NODES, WEIGHTS)
-            assert abs(v - value) <= floor
-            assert abs(s - abs_sum) <= floor
 
 
-def test_abs_sum_dominates_value():
-    rng = np.random.default_rng(32)
-    for edges in meshes(rng):
-        v, s = powcos_panels(0.5, 0.0, 3.0, edges, NODES, WEIGHTS)
-        assert s >= abs(v)
+def fine_panels(contributions, edges):
+    """_halving_estimate's result and the fine panels it summed."""
+    seen = []
+
+    def record(e):
+        seen.append(contributions(e))
+        return seen[-1]
+
+    return _halving_estimate(record, edges), seen[-1]
+
+
+def test_grouped_estimate_equals_separate_groups():
+    a = -0.75
+    first, _, _ = singular_end(a, 1.0, math.pi, 0.5 * math.pi)
+    edges = np.append(first, 0.5 * math.pi * np.arange(3, 41))
+    starts = np.r_[0, first.size - 1:edges.size - 1:2]
+    ends = np.r_[starts[1:], edges.size - 1]
+
+    def kernel(e):
+        return powcos_panels(a, 0.0, 1.0, e, NODES, WEIGHTS)
+
+    fine, est, abssum = _halving_estimate(kernel, edges, starts)
+    assert fine.shape == est.shape == abssum.shape == (starts.size,)
+    for i, (lo, hi) in enumerate(zip(starts, ends)):
+        (f,), (e,), (s,) = _halving_estimate(kernel, edges[lo:hi + 1])
+        assert abs(fine[i] - f) <= min(est[i], e)
+        assert abs(est[i] - e) <= 64.0 * _EPS * s
+        assert abs(abssum[i] - s) <= 64.0 * _EPS * s
+
+
+def test_pairwise_sum_stays_under_the_roundoff_floor():
+    # the halving of a mesh just inside MAX_PANELS, and a complex
+    # Laplace-style integrand that cancels over thousands of oscillations
+    n = 199_000
+    real = (lambda e: powcos_panels(-0.75, 0.0, float(n), e, NODES, WEIGHTS),
+            singular_end(-0.75, float(n), math.pi, math.pi / n)[0])
+    lam = 1.0 + 60000.0j
+    cplx = (lambda e: gauss_contributions(
+        lambda s: np.exp(-lam * s) / np.sqrt(1.0 + s), e, NODES, WEIGHTS),
+            _graded_mesh(10.0, math.pi / lam.imag, 1e-12))
+    for contributions, edges in (real, cplx):
+        ((fine,), _, (abssum,)), c = fine_panels(contributions, edges)
+        assert c.size > 300_000
+        exact = complex(math.fsum(c.real), math.fsum(c.imag))
+        assert abs(abssum - math.fsum(np.abs(c))) <= 64.0 * _EPS * abssum
+        assert abs(fine - exact) <= 64.0 * _EPS * abssum

@@ -10,8 +10,8 @@ from weissbench import (CoefficientVector, DiagonalSystem, DivergentSum,
                         orbit_observation, resolvent_observation,
                         weiss_norm_orthonormal, weiss_quotient)
 from weissbench.counterexample import CounterexampleParams, witness_system
-from weissbench.semigroup import (ObservedValue, decay_norm_orthonormal,
-                                  lambda_grid, orbit_callable)
+from weissbench.semigroup import (decay_norm_orthonormal, lambda_grid,
+                                  log_grid, orbit_callable)
 
 
 def one_mode(mu0=1.0, c0=1.0):
@@ -261,11 +261,13 @@ def test_lambda_grid_geometry():
     assert mods.max() == pytest.approx(1e8, rel=1e-12)
 
 
-def test_observed_value_float_coercion():
-    assert float(ObservedValue(2.5 + 0.0j, 0.0, 1)) == 2.5
-    assert float(ObservedValue(3.0, 0.0, 1)) == 3.0
-
-
+def test_log_grid_spacing():
+    grid = log_grid(1e-8, 1.0)
+    assert grid.size == 8 * 64 + 1
+    assert (grid[0], grid[-1]) == (1e-8, 1.0)
+    assert np.allclose(grid[1:] / grid[:-1], 10.0 ** (1.0 / 64.0), rtol=1e-13)
+    # a window that is not a whole number of decades rounds the count up
+    assert log_grid(0.3, 0.5, per_decade=100).size == 24
 # ---------------------------------------------------------- batch contract
 @pytest.fixture(scope="module")
 def witness4():
