@@ -166,10 +166,11 @@ def _suite_laplace_identity(args, outdir):
     for index in range(20):
         system, xi = _random_finite_system(rng)
         orbit = semigroup.orbit_callable(system, xi)
+        decay = semigroup.orbit_decay_bound(system, xi, 0.0)
         obs = semigroup.resolvent_observation(system, xi, lams, 1e-14)
         for lam, series in zip(lams, obs.value.tolist()):
             T = 40.0 / (system.mu[0] + lam.real)
-            quad = laplace_quadrature(orbit, lam, spec, T=T)
+            quad = laplace_quadrature(orbit, lam, spec, T=T, decay=decay)
             gap = abs(series - quad) / (1.0 + abs(series))
             worst = max(worst, gap)
             rows.append((index, lam.real, lam.imag, gap))

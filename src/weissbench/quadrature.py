@@ -3,8 +3,8 @@
 Meshes combine uniform panels no wider than half an oscillation period with
 a geometric grading toward an endpoint power singularity; each panel uses a
 fixed-order Gauss-Legendre rule, and the error estimate comes from comparing
-the mesh against its halving (plus the bound of the closed-form panel at the
-singular end and a roundoff floor). Estimates are conservative by
+the mesh against its halving (plus the bound of the closed-form or dropped
+panel at the singular end and a roundoff floor). Estimates are conservative by
 construction: refining the mesh moves results by less than the estimate.
 """
 import math
@@ -153,28 +153,42 @@ def singular_oscillatory_detail(gamma_exp, n, spec=DEFAULT_SPEC):
     return value, est
 
 
-def laplace_quadrature(orbit, lam, spec=DEFAULT_SPEC, *, T):
+def laplace_quadrature(orbit, lam, spec=DEFAULT_SPEC, *, T, decay):
     """Integral of exp(-lam t) * orbit(t) over (0, T).
 
-    orbit must accept a float array and return values elementwise; it may
-    blow up like t^(-1/2) toward 0 (the log-graded layer absorbs that). The
-    caller chooses T so the discarded tail is below tolerance.
+    orbit must accept a float array and return values elementwise. decay =
+    (M, alpha) is the caller's certified bound |orbit(t)| <= M t^(-alpha) on
+    (0, T], with M >= 0 finite and 0 <= alpha < 1. The mesh grades toward 0
+    down to an edge h <= (1e-8 tol)^(1/(1-alpha)) min(T, 1/|lam|) and drops
+    the head [0, h], whose integral is at most M h^(1-alpha)/(1-alpha); that
+    bound joins the estimate; the factor 1e-8 leaves room for orbits that
+    cancel far below M. At lam = 1, alpha = 0 and the default tolerance the
+    graded layer has 59 levels. The caller chooses T so the discarded tail
+    is below tolerance.
     """
     lam = complex(lam)
     if not lam.real > 0.0:
         raise DomainError("laplace_quadrature needs Re(lambda) > 0")
     if not T > 0.0:
         raise DomainError("cutoff T must be positive")
+    try:
+        M, alpha = (float(v) for v in decay)
+    except (TypeError, ValueError):
+        raise DomainError("decay must be a pair (M, alpha)") from None
+    if not (0.0 <= M < math.inf and 0.0 <= alpha < 1.0):
+        raise DomainError(
+            f"decay needs finite M >= 0 and alpha in [0, 1), got {decay}")
+    g = 1.0 - alpha
     cap = min(math.pi / max(abs(lam.imag), 1e-300), 0.5 / lam.real, T / 4.0)
-    hmin = max((1e-4 * spec.relative_tolerance) ** 2 * min(T, 1.0 / lam.real),
-               1e-280)
+    edges = _graded_mesh(T, cap, (1e-8 * spec.relative_tolerance) ** (1.0 / g)
+                         * min(T, 1.0 / abs(lam)))[1:]
 
     def integrand(s):
         return np.asarray(orbit(s.ravel())).reshape(s.shape) * np.exp(-lam * s)
 
     fine, est, abssum = (v.item() for v in _halving_estimate(
-        lambda e: gauss_contributions(integrand, e, _NODES, _WEIGHTS),
-        _graded_mesh(T, cap, hmin)))
+        lambda e: gauss_contributions(integrand, e, _NODES, _WEIGHTS), edges))
+    est += M * float(edges[0]) ** g / g
     if est > spec.relative_tolerance * max(abs(fine), 0.01 * abssum):
         raise ToleranceNotMet(
             f"estimate {est:.3e} exceeds tolerance for lambda={lam}, T={T}",

@@ -23,6 +23,7 @@ __all__ = [
     "orbit_observation",
     "resolvent_observation",
     "orbit_callable",
+    "orbit_decay_bound",
     "weiss_quotient",
     "weiss_norm_orthonormal",
     "decay_profile",
@@ -216,6 +217,19 @@ def orbit_callable(sys, xi):
         return np.exp(-np.outer(t, mu)) @ w
 
     return orbit
+
+
+def orbit_decay_bound(sys, xi, alpha):
+    """(M, alpha) with |orbit_callable(sys, xi)(t)| <= M t^(-alpha), t > 0.
+
+    sup_t t^alpha e^(-mu t) = (alpha/(e mu))^alpha (0^0 = 1), so M is the
+    sum of |xi_k c_k| (alpha/(e mu_k))^alpha over the active modes, raised
+    by a few eps against its own roundoff. This is the decay argument of
+    laplace_quadrature.
+    """
+    v, mu, c = _active_slice(sys, xi)
+    terms = np.abs(v * c) * (alpha / (math.e * mu)) ** alpha
+    return math.fsum(terms.tolist()) * (1.0 + 8.0 * _EPS), alpha
 
 
 def weiss_quotient(sys, xi, x_norm, lam, tol=1e-12):

@@ -28,7 +28,7 @@ from weissbench.counterexample import xi_period_decomposition
 from weissbench.quadrature import laplace_quadrature
 from weissbench.semigroup import (CoefficientVector, decay_norm_orthonormal,
                                   lambda_grid, orbit_callable,
-                                  resolvent_observation,
+                                  orbit_decay_bound, resolvent_observation,
                                   weiss_norm_orthonormal)
 
 
@@ -149,10 +149,12 @@ def test_criterion_3_laplace_identity(criterion):
                 n_active=max(2, n))
             xi = CoefficientVector(v)
             orbit = orbit_callable(system, xi)
+            decay = orbit_decay_bound(system, xi, 0.0)
             for lam in lams:
                 series = resolvent_observation(system, xi, lam, 1e-14).value
                 quad = laplace_quadrature(orbit, lam,
-                                          T=40.0 / (system.mu[0] + lam.real))
+                                          T=40.0 / (system.mu[0] + lam.real),
+                                          decay=decay)
                 worst = max(worst, abs(series - quad) / (1.0 + abs(series)))
         elapsed = time.monotonic() - start
         ok = worst <= 1e-6 and elapsed < 60.0

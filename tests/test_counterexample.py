@@ -17,8 +17,11 @@ from weissbench.counterexample import (WitnessSystem, _lcg_uniform,
                                        envelope_norm_q, gram_entry,
                                        period_table, xi_period_decomposition)
 from weissbench.errors import ToleranceNotMet
-from weissbench.quadrature import (QuadratureSpec,
+from weissbench.quadrature import (DEFAULT_SPEC, QuadratureSpec,
+                                   laplace_quadrature,
                                    singular_oscillatory_integral)
+from weissbench.semigroup import (orbit_callable, orbit_decay_bound,
+                                  resolvent_observation)
 
 
 @pytest.fixture(scope="module")
@@ -213,6 +216,25 @@ def test_witness_system_wiring(p4):
     assert np.all(wit.xi.values > 0.0)
     with pytest.raises(DomainError):
         witness_system(p4, n_modes=1)
+
+
+def test_laplace_identity_on_the_witness(p4):
+    # the witness orbit blows up like t^(-1/2): the graded layer runs to the
+    # depth its alpha = 1/2 bound sets, and the dropped head is certified.
+    # Its terms are nonnegative, so the estimate, below tol max(|value|,
+    # 0.01 abs sum), is below tol times the resolvent at Re(lam)
+    wit = witness_system(p4)
+    orbit = orbit_callable(wit.system, wit.xi)
+    decay = orbit_decay_bound(wit.system, wit.xi, 0.5)
+    tol = DEFAULT_SPEC.relative_tolerance
+    for lam in (1.0, 10.0 + 10.0j, 0.05 - 0.1j, 300.0 + 5.0j):
+        lam = complex(lam)
+        series = resolvent_observation(wit.system, wit.xi, [lam, lam.real],
+                                       1e-14)
+        quad = laplace_quadrature(orbit, lam, T=40.0 / (1.0 + lam.real),
+                                  decay=decay)
+        assert abs(series.value[0] - quad) <= (
+            tol * series.value[1].real + series.tail_bound[0])
 
 
 def test_orbit_lower_bound_holds(p4):

@@ -138,7 +138,8 @@ def test_large_meshes_evaluate_in_bounded_blocks():
     # one array pass over the whole halved mesh peaked at 157 and 220 MB
     calls = (lambda: singular_oscillatory_integral(0.25, 199_000),
              lambda: laplace_quadrature(lambda t: np.ones_like(t),
-                                        1.0 + 60000.0j, T=10.0))
+                                        1.0 + 60000.0j, T=10.0,
+                                        decay=(1.0, 0.0)))
     for call in calls:
         tracemalloc.start()
         try:
@@ -151,30 +152,37 @@ def test_large_meshes_evaluate_in_bounded_blocks():
 
 # ---------------------------------------------------------------- laplace
 def test_laplace_constant_orbit():
-    for lam in (1.0, 2.5 + 4.0j, 0.3 - 1.0j):
-        lam = complex(lam)
-        T = 30.0 / lam.real
-        got = laplace_quadrature(lambda t: np.ones_like(t), lam, T=T)
-        want = (1.0 - cmath.exp(-lam * T)) / lam
-        assert abs(got - want) <= 1e-9 * abs(want)
+    # the dropped head [0, h] is widest at the loose tolerances
+    for tol in (1e-2, 1e-6, 1e-10):
+        spec = QuadratureSpec(relative_tolerance=tol)
+        for lam in (1.0, 2.5 + 4.0j, 0.3 - 1.0j):
+            lam = complex(lam)
+            T = 30.0 / lam.real
+            got = laplace_quadrature(lambda t: np.ones_like(t), lam, spec,
+                                     T=T, decay=(1.0, 0.0))
+            want = (1.0 - cmath.exp(-lam * T)) / lam
+            assert abs(got - want) <= max(tol, 1e-9) * abs(want)
 
 
 def test_laplace_exponential_orbit():
     lam = 0.7 + 2.0j
     T = 40.0
-    got = laplace_quadrature(lambda t: np.exp(-t), lam, T=T)
+    got = laplace_quadrature(lambda t: np.exp(-t), lam, T=T, decay=(1.0, 0.0))
     want = (1.0 - cmath.exp(-(lam + 1.0) * T)) / (lam + 1.0)
     assert abs(got - want) <= 1e-9 * abs(want)
 
 
 def test_laplace_square_root_singularity():
     # integral of t^(-1/2) e^{-lam t} over (0, inf) is sqrt(pi/lam); the
-    # graded layer must absorb the endpoint blowup
-    for lam in (1.0, 2.5 + 4.0j, 0.3 - 1.0j):
-        lam = complex(lam)
-        got = laplace_quadrature(lambda t: t**-0.5, lam, T=40.0 / lam.real)
-        want = cmath.sqrt(math.pi / lam)
-        assert abs(got - want) <= 1e-8 * abs(want)
+    # head dropped at the endpoint blowup is bounded by 2 h^(1/2)
+    for tol in (1e-2, 1e-6, 1e-10):
+        spec = QuadratureSpec(relative_tolerance=tol)
+        for lam in (1.0, 2.5 + 4.0j, 0.3 - 1.0j):
+            lam = complex(lam)
+            got = laplace_quadrature(lambda t: t**-0.5, lam, spec,
+                                     T=40.0 / lam.real, decay=(1.0, 0.5))
+            want = cmath.sqrt(math.pi / lam)
+            assert abs(got - want) <= max(tol, 1e-8) * abs(want)
 
 
 def test_laplace_linearity():
@@ -182,32 +190,67 @@ def test_laplace_linearity():
     T = 30.0
     f = lambda t: np.exp(-0.5 * t)
     g = lambda t: 1.0 / (1.0 + t)
-    lhs = laplace_quadrature(lambda t: 2.0 * f(t) - 3.0 * g(t), lam, T=T)
-    rhs = 2.0 * laplace_quadrature(f, lam, T=T) \
-        - 3.0 * laplace_quadrature(g, lam, T=T)
+    lhs = laplace_quadrature(lambda t: 2.0 * f(t) - 3.0 * g(t), lam, T=T,
+                             decay=(5.0, 0.0))
+    rhs = 2.0 * laplace_quadrature(f, lam, T=T, decay=(1.0, 0.0)) \
+        - 3.0 * laplace_quadrature(g, lam, T=T, decay=(1.0, 0.0))
     assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(rhs))
 
 
 def test_laplace_domain_and_budget():
     with pytest.raises(DomainError):
-        laplace_quadrature(lambda t: t, -1.0 + 2.0j, T=1.0)
+        laplace_quadrature(lambda t: t, -1.0 + 2.0j, T=1.0, decay=(1.0, 0.0))
     with pytest.raises(DomainError):
-        laplace_quadrature(lambda t: t, 1.0, T=0.0)
+        laplace_quadrature(lambda t: t, 1.0, T=0.0, decay=(1.0, 0.0))
     with pytest.raises(ToleranceNotMet):
-        laplace_quadrature(lambda t: np.ones_like(t), 1.0 + 1e6j, T=100.0)
+        laplace_quadrature(lambda t: np.ones_like(t), 1.0 + 1e6j, T=100.0,
+                           decay=(1.0, 0.0))
+    # the dropped head's bound M h (1e12 * 1e-18 here) is gated like every
+    # other error term
+    with pytest.raises(ToleranceNotMet):
+        laplace_quadrature(lambda t: np.ones_like(t), 1.0, T=40.0,
+                           decay=(1e12, 0.0))
+
+
+def test_laplace_decay_domain():
+    one = lambda t: np.ones_like(t)
+    for bad in ((-1.0, 0.0), (math.nan, 0.0), (math.inf, 0.0), (1.0, -0.1),
+                (1.0, 1.0), (1.0, 1.5), (1.0, math.nan), (1.0,), None):
+        with pytest.raises(DomainError):
+            laplace_quadrature(one, 1.0, T=10.0, decay=bad)
+
+
+def test_laplace_graded_depth_follows_the_decay_bound():
+    # lam = 1: panels cap = 1/2 wide, h = 1e-8 tol min(T, 1) = 1e-18, and the
+    # graded layer has ceil(log2(cap/h)) = 59 levels; the mesh and its halving
+    # put 12 + 24 Gauss nodes in each level
+    seen = []
+
+    def orbit(t):
+        seen.append(t[t < 0.5])
+        return np.ones_like(t)
+
+    laplace_quadrature(orbit, 1.0, T=40.0, decay=(1.0, 0.0))
+    depth = math.ceil(math.log2(0.5 / 1e-18))
+    assert depth == 59
+    nodes = np.concatenate(seen)
+    assert nodes.size == 36 * depth
+    assert 0.5 * 2.0**-depth < nodes.min() < 0.5 * 2.0 ** (1 - depth)
 
 
 def test_laplace_budget_counts_graded_panels():
-    # [0, pi/10] and the uniform panels on [pi/10, T] number MAX_PANELS - 9,
-    # inside the budget; the geometric layer toward 0 adds 92 more
+    # the uniform panels on [pi/10, T] number MAX_PANELS - 62; the geometric
+    # layer from pi/10 down to h = 1e-18 / |lam| adds 62 levels and the head
+    # [0, h] one panel more, so the mesh is one panel over the budget
     lam = 1.0 + 10.0j
-    T = (MAX_PANELS - 9.5) * math.pi / 10.0
+    T = (MAX_PANELS - 61.5) * math.pi / 10.0
+    assert math.ceil(math.log2(math.pi / 10.0 * abs(lam) / 1e-18)) == 62
 
     def orbit(t):
         raise AssertionError("orbit evaluated on an over-budget mesh")
 
-    with pytest.raises(ToleranceNotMet, match="MAX_PANELS"):
-        laplace_quadrature(orbit, lam, T=T)
+    with pytest.raises(ToleranceNotMet, match=f"needs {MAX_PANELS + 1} "):
+        laplace_quadrature(orbit, lam, T=T, decay=(1.0, 0.0))
 
 
 def test_tolerance_not_met_carries_diagnostics():

@@ -11,7 +11,7 @@ from weissbench import (CoefficientVector, DiagonalSystem, DivergentSum,
                         weiss_norm_orthonormal, weiss_quotient)
 from weissbench.counterexample import CounterexampleParams, witness_system
 from weissbench.semigroup import (decay_norm_orthonormal, lambda_grid,
-                                  log_grid, orbit_callable)
+                                  log_grid, orbit_callable, orbit_decay_bound)
 
 
 def one_mode(mu0=1.0, c0=1.0):
@@ -125,6 +125,26 @@ def test_orbit_callable_matches_observation():
         obs = orbit_observation(sys_, xi, t, 1e-14)
         assert orbit(np.array([t]))[0] == pytest.approx(float(obs.value),
                                                         rel=1e-12)
+
+
+def test_orbit_decay_bound():
+    sys_ = DiagonalSystem.default(n_active=16)
+    xi = CoefficientVector((-1.0) ** np.arange(16) / (1.0 + np.arange(16)))
+    orbit = orbit_callable(sys_, xi)
+    t = log_grid(1e-12, 10.0)
+    assert orbit_decay_bound(sys_, xi, 0.0)[0] >= math.fsum(
+        np.abs(xi.values * sys_.c))
+    for alpha in (0.0, 0.25, 0.5, 0.9):
+        M, a = orbit_decay_bound(sys_, xi, alpha)
+        assert a == alpha
+        assert np.all(np.abs(orbit(t)) <= M * t**-alpha)
+    # one mode attains the bound at t = alpha/mu
+    sys1 = one_mode(mu0=3.0, c0=-2.0)
+    xi1 = CoefficientVector([0.5, 0.0])
+    M, _ = orbit_decay_bound(sys1, xi1, 0.5)
+    peak = abs(orbit_callable(sys1, xi1)(np.array([0.5 / 3.0]))[0])
+    assert peak * (0.5 / 3.0) ** 0.5 <= M <= peak * (0.5 / 3.0) ** 0.5 * (
+        1.0 + 1e-14)
 
 
 def test_observation_domain_errors():
