@@ -13,14 +13,23 @@ __all__ = ["gauss_contributions", "powcos_panels"]
 _BLOCK = 32768  # panels per array pass
 
 
-def gauss_contributions(f, edges, nodes, weights):
-    parts = []
+def gauss_contributions(f, edges, nodes, weights, *panel_args):
+    """Per-panel Gauss sums of f over the mesh edges.
+
+    f(s, *args) gets the nodes of one pass, a row per panel, and each array
+    of panel_args (one value per panel) sliced to that pass as a column.
+    """
+    out = None
     for i in range(0, max(edges.size - 1, 1), _BLOCK):
         e = edges[i:i + _BLOCK + 1]
         h2 = 0.5 * np.diff(e)
         s = 0.5 * (e[1:] + e[:-1])[:, None] + h2[:, None] * nodes[None, :]
-        parts.append(h2 * (f(s) @ weights))
-    return np.concatenate(parts)
+        part = h2 * (f(s, *(a[i:i + _BLOCK, None] for a in panel_args))
+                     @ weights)
+        if out is None:
+            out = np.empty(max(edges.size - 1, 0), dtype=part.dtype)
+        out[i:i + _BLOCK] = part
+    return out
 
 
 def powcos_panels(a, shift, freq, edges, nodes, weights):

@@ -168,9 +168,11 @@ def _suite_laplace_identity(args, outdir):
         orbit = semigroup.orbit_callable(system, xi)
         decay = semigroup.orbit_decay_bound(system, xi, 0.0)
         obs = semigroup.resolvent_observation(system, xi, lams, 1e-14)
-        for lam, series in zip(lams, obs.value.tolist()):
-            T = 40.0 / (system.mu[0] + lam.real)
-            quad = laplace_quadrature(orbit, lam, spec, T=T, decay=decay)
+        quads = laplace_quadrature(orbit, lams, spec,
+                                   T=40.0 / (system.mu[0] + lams.real),
+                                   decay=decay)
+        for lam, series, quad in zip(lams, obs.value.tolist(),
+                                     quads.tolist()):
             gap = abs(series - quad) / (1.0 + abs(series))
             worst = max(worst, gap)
             rows.append((index, lam.real, lam.imag, gap))

@@ -56,19 +56,22 @@ def gamma_function(x):
 
 
 def _graded_mesh(L, cap, hmin):
-    """Edges on [0, L]: uniform panels no wider than cap on [cap, L], and a
-    geometric layer from cap down to hmin when hmin is not None. The panel
-    count is checked against MAX_PANELS before any array is built.
+    """Edges on [0, L]: uniform panels no wider than cap on [cap, L], and,
+    when hmin is not None, a geometric layer from cap down to an edge
+    h <= hmin where the mesh starts: the head [0, h] is the caller's to
+    bound. The panel count is checked against MAX_PANELS before any array
+    is built.
     """
     m_uni = int(math.ceil((L - cap) / cap - 1e-12))
     depth = 0 if hmin is None else max(int(math.ceil(
         math.log(cap / hmin) / math.log(1.0 / _GRADING_RATIO))), 1)
-    if depth + m_uni + 1 > MAX_PANELS:
+    panels = depth + m_uni + (hmin is None)  # [0, cap] is a panel ungraded
+    if panels > MAX_PANELS:
         raise ToleranceNotMet(
-            f"mesh needs {depth + m_uni + 1} panels, exceeding "
-            f"MAX_PANELS={MAX_PANELS}")
+            f"mesh needs {panels} panels, exceeding MAX_PANELS={MAX_PANELS}")
     geometric = cap * _GRADING_RATIO ** np.arange(depth, 0, -1)
-    return np.concatenate(([0.0], geometric, np.linspace(cap, L, m_uni + 1)))
+    return np.concatenate(([0.0] if hmin is None else [], geometric,
+                           np.linspace(cap, L, m_uni + 1)))
 
 
 def _halving_estimate(contributions, edges, starts=(0,)):
@@ -103,7 +106,7 @@ def singular_end(a, freq, L, cap, spec=DEFAULT_SPEC):
     g = a + 1.0
     target = 2e-4 * (g + 2.0) * spec.relative_tolerance * cap**g / g
     hmin = min(cap, (target / freq**2) ** (1.0 / (g + 2.0))) if freq else cap
-    edges = _graded_mesh(L, cap, hmin)[1:]
+    edges = _graded_mesh(L, cap, hmin)
     h = float(edges[0])
     return edges, h**g / g, freq**2 * h ** (g + 2.0) / (2.0 * (g + 2.0))
 
@@ -138,7 +141,7 @@ def singular_oscillatory_detail(gamma_exp, n, spec=DEFAULT_SPEC):
     """Same as singular_oscillatory_integral but returns (value, estimate)."""
     if not 0.0 < gamma_exp <= 2.0:
         raise DomainError(f"gamma_exp must lie in (0, 2], got {gamma_exp}")
-    if n != int(n) or n < 0:
+    if not (math.isfinite(n) and n == int(n) and n >= 0):
         raise DomainError(f"n must be a nonnegative integer, got {n}")
     g, a = gamma_exp, gamma_exp - 1.0
     value, est = powcos_quadrature(a, 0.0, float(n), math.pi, spec)
@@ -154,23 +157,37 @@ def singular_oscillatory_detail(gamma_exp, n, spec=DEFAULT_SPEC):
 
 
 def laplace_quadrature(orbit, lam, spec=DEFAULT_SPEC, *, T, decay):
-    """Integral of exp(-lam t) * orbit(t) over (0, T).
+    """Integral of exp(-lam t) * orbit(t) over (0, T), at one lam or over a
+    1-d array of them (T one value, or one per point).
 
     orbit must accept a float array and return values elementwise. decay =
     (M, alpha) is the caller's certified bound |orbit(t)| <= M t^(-alpha) on
-    (0, T], with M >= 0 finite and 0 <= alpha < 1. The mesh grades toward 0
-    down to an edge h <= (1e-8 tol)^(1/(1-alpha)) min(T, 1/|lam|) and drops
-    the head [0, h], whose integral is at most M h^(1-alpha)/(1-alpha); that
-    bound joins the estimate; the factor 1e-8 leaves room for orbits that
-    cancel far below M. At lam = 1, alpha = 0 and the default tolerance the
-    graded layer has 59 levels. The caller chooses T so the discarded tail
-    is below tolerance.
+    (0, T], with M >= 0 finite and 0 <= alpha < 1. Each point's mesh grades
+    toward 0 down to an edge h <= (1e-8 tol)^(1/(1-alpha)) min(T, 1/|lam|)
+    and drops the head [0, h], whose integral is at most M h^(1-alpha)/(1-
+    alpha); that bound joins the point's estimate; the factor 1e-8 leaves
+    room for orbits that cancel far below M. At lam = 1, alpha = 0 and the
+    default tolerance the graded layer has 59 levels. Every point keeps the
+    mesh, value and gate of a one-point call, bit for bit, and its mesh is
+    checked against MAX_PANELS on its own; consecutive points are evaluated
+    together in runs of at most MAX_PANELS panels. Non-finite lam or T raise
+    DomainError before orbit is called. The caller chooses T so the
+    discarded tail is below tolerance. One lam returns a complex, an array
+    of them a complex array.
     """
-    lam = complex(lam)
-    if not lam.real > 0.0:
-        raise DomainError("laplace_quadrature needs Re(lambda) > 0")
-    if not T > 0.0:
-        raise DomainError("cutoff T must be positive")
+    lams = np.asarray(lam, dtype=complex)
+    Ts = np.asarray(T, dtype=float)
+    if lams.ndim > 1 or not lams.size or Ts.shape not in ((), lams.shape):
+        raise DomainError("lambda must be one point or a nonempty 1-d "
+                          "array, and T one value or one per point")
+    one = lams.ndim == 0
+    lams = lams.reshape(-1)
+    Ts = np.broadcast_to(Ts, lams.shape)
+    if not (np.isfinite(lams).all() and lams.real.min() > 0.0):
+        raise DomainError("laplace_quadrature needs finite lambda with "
+                          "Re(lambda) > 0")
+    if not (np.isfinite(Ts).all() and Ts.min() > 0.0):
+        raise DomainError("cutoff T must be finite and positive")
     try:
         M, alpha = (float(v) for v in decay)
     except (TypeError, ValueError):
@@ -179,18 +196,53 @@ def laplace_quadrature(orbit, lam, spec=DEFAULT_SPEC, *, T, decay):
         raise DomainError(
             f"decay needs finite M >= 0 and alpha in [0, 1), got {decay}")
     g = 1.0 - alpha
-    cap = min(math.pi / max(abs(lam.imag), 1e-300), 0.5 / lam.real, T / 4.0)
-    edges = _graded_mesh(T, cap, (1e-8 * spec.relative_tolerance) ** (1.0 / g)
-                         * min(T, 1.0 / abs(lam)))[1:]
+    hscale = (1e-8 * spec.relative_tolerance) ** (1.0 / g)
+    points = list(zip(lams.tolist(), Ts.tolist()))
 
-    def integrand(s):
-        return np.asarray(orbit(s.ravel())).reshape(s.shape) * np.exp(-lam * s)
+    def meshes():
+        for z, t in points:
+            cap = min(math.pi / max(abs(z.imag), 1e-300), 0.5 / z.real, t / 4.0)
+            yield _graded_mesh(t, cap, hscale * min(t, 1.0 / abs(z)))
 
-    fine, est, abssum = (v.item() for v in _halving_estimate(
-        lambda e: gauss_contributions(integrand, e, _NODES, _WEIGHTS), edges))
-    est += M * float(edges[0]) ** g / g
-    if est > spec.relative_tolerance * max(abs(fine), 0.01 * abssum):
-        raise ToleranceNotMet(
-            f"estimate {est:.3e} exceeds tolerance for lambda={lam}, T={T}",
-            value=fine, estimate=est)
-    return fine
+    def integrand(s, neg_lam):
+        z = neg_lam * s
+        np.exp(z, out=z)
+        z *= np.asarray(orbit(s.ravel())).reshape(s.shape)
+        return z
+
+    values = []
+    for run in _runs(meshes()):
+        # one mesh of the run's points: the panel joining two of them takes
+        # the first one's lam and is a group of its own, discarded
+        k = len(values)
+        sizes = [m.size for m in run]
+        edges = np.concatenate(run)
+        neg_lam = np.repeat(-lams[k:k + len(run)], sizes)[:-1]
+        first = np.cumsum([0] + sizes[:-1])
+        fine, est, abssum = (v[::2].tolist() for v in _halving_estimate(
+            lambda e: gauss_contributions(
+                integrand, e, _NODES, _WEIGHTS,
+                neg_lam if e.size == edges.size else neg_lam.repeat(2)),
+            edges, np.sort(np.r_[first, first[1:] - 1])))
+        for (z, t), m, value, e, a in zip(points[k:], run, fine, est, abssum):
+            e += M * float(m[0]) ** g / g
+            if e > spec.relative_tolerance * max(abs(value), 0.01 * a):
+                raise ToleranceNotMet(
+                    f"estimate {e:.3e} exceeds tolerance for lambda={z}, "
+                    f"T={t}", value=value, estimate=e)
+            values.append(value)
+    return values[0] if one else np.array(values)
+
+
+def _runs(meshes):
+    """Consecutive meshes in runs of at most MAX_PANELS panels, counting the
+    panel that joins each mesh to the next; a mesh within the budget on its
+    own always makes a run."""
+    run, panels = [], -1
+    for m in meshes:
+        if run and panels + m.size > MAX_PANELS:
+            yield run
+            run, panels = [], -1
+        run.append(m)
+        panels += m.size
+    yield run

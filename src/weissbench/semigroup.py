@@ -211,10 +211,12 @@ def orbit_callable(sys, xi):
     """
     v, mu, c = _active_slice(sys, xi)
     w = v * c
+    neg_mu = -mu
 
     def orbit(t):
-        t = np.asarray(t, dtype=float)
-        return np.exp(-np.outer(t, mu)) @ w
+        # t (-mu) is exactly -(t mu): one array, exponentiated in place
+        z = np.multiply.outer(np.asarray(t, dtype=float), neg_mu)
+        return np.exp(z, out=z) @ w
 
     return orbit
 

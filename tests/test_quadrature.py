@@ -14,10 +14,13 @@ import numpy as np
 import pytest
 
 from oracle_values import GAMMA_REF, POWCOS_REF
-from weissbench import (DomainError, QuadratureSpec, ToleranceNotMet,
-                        gamma_function, laplace_quadrature,
-                        singular_oscillatory_integral)
-from weissbench.quadrature import MAX_PANELS, singular_oscillatory_detail
+from weissbench import (CounterexampleParams, DomainError, QuadratureSpec,
+                        ToleranceNotMet, gamma_function, laplace_quadrature,
+                        singular_oscillatory_integral, witness_system)
+from weissbench.cli import _laplace_lambda_points, _random_finite_system
+from weissbench.quadrature import (MAX_PANELS, _graded_mesh,
+                                   singular_oscillatory_detail)
+from weissbench.semigroup import orbit_callable, orbit_decay_bound
 
 
 def test_gamma_function_against_reference():
@@ -135,19 +138,26 @@ def test_panel_budget_checked_before_allocation():
 
 
 def test_large_meshes_evaluate_in_bounded_blocks():
-    # one array pass over the whole halved mesh peaked at 157 and 220 MB
+    # one array pass over the whole halved mesh peaked at 157 and 220 MB; the
+    # batch's meshes (about 191,000 and 127,000 panels) each pass the budget
+    # but together exceed it, so they are evaluated one after the other
+    one = lambda t: np.ones_like(t)
+    lams = np.array([1.0 + 60000.0j, 1.0 + 40000.0j])
     calls = (lambda: singular_oscillatory_integral(0.25, 199_000),
-             lambda: laplace_quadrature(lambda t: np.ones_like(t),
-                                        1.0 + 60000.0j, T=10.0,
-                                        decay=(1.0, 0.0)))
+             lambda: laplace_quadrature(one, lams[0], T=10.0,
+                                        decay=(1.0, 0.0)),
+             lambda: laplace_quadrature(one, lams, T=10.0, decay=(1.0, 0.0)))
+    results = []
     for call in calls:
         tracemalloc.start()
         try:
-            call()
+            results.append(call())
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 40e6
+    assert results[2].tolist() == [results[1], laplace_quadrature(
+        one, lams[1], T=10.0, decay=(1.0, 0.0))]
 
 
 # ---------------------------------------------------------------- laplace
@@ -239,11 +249,12 @@ def test_laplace_graded_depth_follows_the_decay_bound():
 
 
 def test_laplace_budget_counts_graded_panels():
-    # the uniform panels on [pi/10, T] number MAX_PANELS - 62; the geometric
-    # layer from pi/10 down to h = 1e-18 / |lam| adds 62 levels and the head
-    # [0, h] one panel more, so the mesh is one panel over the budget
+    # the uniform panels on [pi/10, T] number MAX_PANELS - 61 and the
+    # geometric layer from pi/10 down to h = 1e-18 / |lam| adds 62 levels;
+    # the dropped head [0, h] is not evaluated and does not count, so the
+    # mesh is one panel over the budget
     lam = 1.0 + 10.0j
-    T = (MAX_PANELS - 61.5) * math.pi / 10.0
+    T = (MAX_PANELS - 60.5) * math.pi / 10.0
     assert math.ceil(math.log2(math.pi / 10.0 * abs(lam) / 1e-18)) == 62
 
     def orbit(t):
@@ -251,6 +262,116 @@ def test_laplace_budget_counts_graded_panels():
 
     with pytest.raises(ToleranceNotMet, match=f"needs {MAX_PANELS + 1} "):
         laplace_quadrature(orbit, lam, T=T, decay=(1.0, 0.0))
+
+
+def test_graded_mesh_budget_counts_evaluated_panels():
+    # ungraded, [0, cap] is evaluated and counts; graded, the mesh starts at
+    # its innermost edge h: the head [0, h] is the caller's and does not
+    # cap = 1: L = u + 1 puts u uniform panels on [1, L]; the geometric
+    # layer down to hmin = 1.5 2^-10 has 10 levels
+    for hmin, u in ((None, MAX_PANELS - 1), (1.5 * 2.0**-10, MAX_PANELS - 10)):
+        edges = _graded_mesh(u + 1.0, 1.0, hmin)
+        assert edges.size - 1 == MAX_PANELS
+        assert edges[0] == (0.0 if hmin is None else 2.0**-10)
+        with pytest.raises(ToleranceNotMet, match=f"needs {MAX_PANELS + 1} "):
+            _graded_mesh(u + 2.0, 1.0, hmin)
+
+
+def never_called(t):
+    raise AssertionError("orbit evaluated on invalid input")
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: laplace_quadrature(
+        never_called, complex(1.0, math.nan), T=1.0, decay=(1.0, 0.0)),
+        id="lam=1+nanj"),
+    pytest.param(lambda: laplace_quadrature(
+        never_called, math.inf, T=1.0, decay=(1.0, 0.0)), id="lam=inf"),
+    pytest.param(lambda: laplace_quadrature(
+        never_called, complex(1.0, -math.inf), T=1.0, decay=(1.0, 0.0)),
+        id="lam=1-infj"),
+    pytest.param(lambda: laplace_quadrature(
+        never_called, 1.0, T=math.inf, decay=(1.0, 0.0)), id="T=inf"),
+    pytest.param(lambda: laplace_quadrature(
+        never_called, 1.0, T=math.nan, decay=(1.0, 0.0)), id="T=nan"),
+    pytest.param(lambda: laplace_quadrature(
+        never_called, [1.0, 2.0, math.nan], T=1.0, decay=(1.0, 0.0)),
+        id="batch-lam=nan"),
+    pytest.param(lambda: laplace_quadrature(
+        never_called, [1.0, 2.0], T=[1.0, math.inf], decay=(1.0, 0.0)),
+        id="batch-T=inf"),
+    pytest.param(lambda: singular_oscillatory_integral(0.5, math.nan),
+                 id="n=nan"),
+    pytest.param(lambda: singular_oscillatory_integral(0.5, math.inf),
+                 id="n=inf"),
+    pytest.param(lambda: singular_oscillatory_detail(0.5, -math.inf),
+                 id="n=-inf"),
+])
+def test_non_finite_inputs_raise_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+def same_bits(batch, singles):
+    return np.array_equal(np.asarray(batch, dtype=complex).view(np.uint64),
+                          np.array(singles, dtype=complex).view(np.uint64))
+
+
+def test_laplace_batch_matches_one_point_calls():
+    # the laplace-identity suite's grid on three of its random finite
+    # systems, then the witness, which blows up like t^(-1/2); the suite's T
+    # per point, and one T for all
+    lams = _laplace_lambda_points()
+    spec = QuadratureSpec(relative_tolerance=1e-8)
+    rng = np.random.default_rng(2024)
+    cases = []
+    for _ in range(3):
+        system, xi = _random_finite_system(rng)
+        cases.append((orbit_callable(system, xi), lams, system.mu[0],
+                      orbit_decay_bound(system, xi, 0.0), spec))
+    wit = witness_system(CounterexampleParams(4.0))
+    cases.append((orbit_callable(wit.system, wit.xi),
+                  np.array([1.0, 10.0 + 10.0j, 0.05 - 0.1j, 300.0 + 5.0j]),
+                  1.0, orbit_decay_bound(wit.system, wit.xi, 0.5),
+                  QuadratureSpec()))
+    for orbit, points, mu0, decay, spec in cases:
+        for T in (40.0 / (mu0 + points.real), 2.0):
+            batch = laplace_quadrature(orbit, points, spec, T=T, decay=decay)
+            singles = [laplace_quadrature(orbit, lam, spec, T=t, decay=decay)
+                       for lam, t in zip(points.tolist(),
+                                         np.broadcast_to(T, points.shape))]
+            assert batch.shape == points.shape
+            assert same_bits(batch, singles)
+
+
+def test_laplace_point_and_shape_checks():
+    one = lambda t: np.ones_like(t)
+    for lam in (np.complex128(2.0 + 1.0j), np.array(2.0), 2):
+        value = laplace_quadrature(one, lam, T=np.float64(10.0),
+                                   decay=(1.0, 0.0))
+        assert type(value) is complex
+    three = np.array([1.0, 2.0, 3.0])
+    for lam, T in ((three, np.ones(2)), (three, np.ones((3, 1))),
+                   (three, [10.0]), (1.0, [10.0]), (np.ones((2, 2)), 1.0),
+                   ([], 1.0)):
+        with pytest.raises(DomainError):
+            laplace_quadrature(never_called, lam, T=T, decay=(1.0, 0.0))
+
+
+def test_laplace_batch_failure_names_its_point():
+    # 12-point panels up to half a period of lam resolve cos(1e4 t) at
+    # lam = 1 + 1e4 j, and not at lam = 1 and 2
+    orbit = lambda t: np.cos(1e4 * t)
+    lams, Ts = [1.0 + 1e4j, 1.0, 2.0], [10.0, 20.0, 30.0]
+    laplace_quadrature(orbit, lams[0], T=Ts[0], decay=(1.0, 0.0))
+    with pytest.raises(ToleranceNotMet) as single:
+        laplace_quadrature(orbit, lams[1], T=Ts[1], decay=(1.0, 0.0))
+    with pytest.raises(ToleranceNotMet, match=r"lambda=\(1\+0j\), T=20\.0$") \
+            as batch:
+        laplace_quadrature(orbit, lams, T=Ts, decay=(1.0, 0.0))
+    assert str(batch.value) == str(single.value)
+    assert batch.value.value == single.value.value
+    assert batch.value.estimate == single.value.estimate
 
 
 def test_tolerance_not_met_carries_diagnostics():

@@ -125,6 +125,10 @@ def test_orbit_callable_matches_observation():
         obs = orbit_observation(sys_, xi, t, 1e-14)
         assert orbit(np.array([t]))[0] == pytest.approx(float(obs.value),
                                                         rel=1e-12)
+    # t (-mu) is exactly -(t mu), so the in-place exponential changes no bit
+    t = log_grid(1e-6, 10.0)
+    assert np.array_equal(orbit(t), np.exp(-np.outer(t, sys_.mu))
+                          @ (xi.values * sys_.c))
 
 
 def test_orbit_decay_bound():
