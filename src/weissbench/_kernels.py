@@ -3,8 +3,9 @@
 gauss_contributions evaluates, per panel, (h/2) * sum_i w_i * f(s_i) on the
 Gauss nodes s_i, for an elementwise integrand f, in passes of at most
 _BLOCK panels so temporaries stay bounded on any mesh; powcos_panels does so
-for (shift + s)^a * cos(freq * s). Both return the per-panel array and sum
-nothing: quadrature._halving_estimate is the one reducer of every route.
+for (shift + s)^a * cos(freq * s), with one shift or one per panel. Both
+return the per-panel array and sum nothing: quadrature._halving_estimate is
+the one reducer of every route.
 """
 import numpy as np
 
@@ -34,5 +35,6 @@ def gauss_contributions(f, edges, nodes, weights, *panel_args):
 
 def powcos_panels(a, shift, freq, edges, nodes, weights):
     return gauss_contributions(
-        lambda s: np.power(shift + s, a) * np.cos(freq * s),
-        edges, nodes, weights)
+        lambda s, c: np.power(c + s, a) * np.cos(freq * s),
+        edges, nodes, weights,
+        np.broadcast_to(shift, max(edges.size - 1, 0)))

@@ -16,9 +16,10 @@ import numpy as np
 from ._kernels import powcos_panels
 from .errors import BoundViolated, DomainError, ToleranceNotMet
 from .lorentz import lorentz_norm, sample_steps
-from .quadrature import (_EPS, _NODES, _WEIGHTS, DEFAULT_SPEC,
-                         _halving_estimate, gamma_function, powcos_quadrature,
-                         singular_end, singular_oscillatory_integral)
+from .quadrature import (_EPS, _NODES, _WEIGHTS, DEFAULT_SPEC, MAX_PANELS,
+                         _graded_mesh, _halving_estimate, gamma_function,
+                         powcos_quadrature, singular_end,
+                         singular_oscillatory_integral)
 from .semigroup import (CoefficientVector, DiagonalSystem, log_grid,
                         orbit_callable, orbit_observation)
 
@@ -43,6 +44,20 @@ __all__ = [
     "bessel_failure_witness",
     "hilbertian_constant_estimate",
 ]
+
+
+def _integer(value, name, low=None):
+    """value as an int: an integer, or an integral float, of at least low;
+    anything else (NaN, infinities and fractions included) raises
+    DomainError."""
+    try:
+        ok = value == int(value) and (low is None or value >= low)
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        bound = "" if low is None else f" >= {low}"
+        raise DomainError(f"{name} must be an integer{bound}, got {value!r}")
+    return int(value)
 
 
 class CounterexampleParams:
@@ -74,17 +89,13 @@ class BasisIndexMap:
 
     @staticmethod
     def frequency(k):
-        if k != int(k) or k < 0:
-            raise DomainError(f"index must be a nonnegative integer, got {k}")
-        k = int(k)
+        k = _integer(k, "index", 0)
         m = (k + 1) // 2
         return -m if k % 2 == 1 else m
 
     @staticmethod
     def index(nu):
-        if nu != int(nu):
-            raise DomainError(f"frequency must be an integer, got {nu}")
-        nu = int(nu)
+        nu = _integer(nu, "frequency")
         return -2 * nu - 1 if nu < 0 else (2 * nu if nu > 0 else 0)
 
     @staticmethod
@@ -106,8 +117,7 @@ def xi_coefficient(n, params, spec=DEFAULT_SPEC):
 
 def xi_asymptotic(n, params):
     """Leading term (1/pi) n^(-gamma) cos(gamma pi/2) Gamma(gamma)."""
-    if n != int(n) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n}")
+    n = _integer(n, "n", 1)
     g = params.gamma
     return n ** (-g) * math.cos(0.5 * math.pi * g) * gamma_function(g) / math.pi
 
@@ -123,8 +133,9 @@ def period_table(a, kmax, spec=DEFAULT_SPEC):
     |increments| and eps times the running sum of |F|, which cover the
     cancellation of increments growing like k^a into F(k pi) ~ k^(a-1).
     """
-    if kmax != int(kmax) or kmax < 1 or not -1.0 < a <= 1.0:
-        raise DomainError(f"need a in (-1, 1], integer kmax >= 1: {a}, {kmax}")
+    kmax = _integer(kmax, "kmax", 1)
+    if not -1.0 < a <= 1.0:
+        raise DomainError(f"need a in (-1, 1], got {a}")
     first, head, bound = singular_end(a, 1.0, math.pi, 0.5 * math.pi, spec)
     edges = np.append(first, 0.5 * math.pi * np.arange(3, 2 * kmax + 1))
     increments, local, _ = _halving_estimate(
@@ -152,9 +163,7 @@ class XiTable:
     __slots__ = ("params", "values", "estimate")
 
     def __init__(self, params, n_max, spec=DEFAULT_SPEC):
-        if n_max != int(n_max) or n_max < 1:
-            raise DomainError(f"n_max must be a positive integer, got {n_max}")
-        n_max = int(n_max)
+        n_max = _integer(n_max, "n_max", 1)
         g = params.gamma
         partial, est = period_table(g - 1.0, n_max, spec)
         n = np.arange(1, n_max + 1, dtype=float)
@@ -186,16 +195,32 @@ def xi_period_decomposition(n, params, spec=DEFAULT_SPEC):
     Each I_l is nonnegative and the sequence decreases: the even-index
     reconciliation xi(2m) = (2m)^(-gamma)/pi * sum_{l<m} I_l ties the
     decomposition back to xi_coefficient exactly (substitute u = 2m s and
-    split (0, 2 pi m) into whole periods).
+    split (0, 2 pi m) into whole periods). I_0 is powcos_quadrature's, with
+    its closed singular end. Every later period takes the two-panel mesh
+    powcos_quadrature gives it, tiled with shift 2 pi l per panel and
+    evaluated in one halving pass per run of at most MAX_PANELS panels, so
+    each I_l equals its one-period powcos_quadrature value bit for bit.
     """
-    if n != int(n) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n}")
+    n = _integer(n, "n", 1)
     a = params.gamma - 1.0
-    out = np.empty(int(n))
-    for l in range(int(n)):
-        value, _ = powcos_quadrature(a, 2.0 * math.pi * l, 1.0,
-                                     2.0 * math.pi, spec)
-        out[l] = value
+    out = np.empty(n)
+    out[0], _ = powcos_quadrature(a, 0.0, 1.0, 2.0 * math.pi, spec)
+    mesh = _graded_mesh(2.0 * math.pi, math.pi, None)
+    per = MAX_PANELS // mesh.size  # periods a run, joining panels counted
+    for lo in range(1, n, per):
+        l = np.arange(lo, min(lo + per, n))
+        # each period's panels, then one joining it to the next, the last
+        # one too: that keeps every period off the last rows of the kernel's
+        # matrix-vector product, which BLAS may sum in another order
+        edges = np.append(np.tile(mesh, l.size), 0.0)
+        shift = np.repeat(2.0 * math.pi * l, mesh.size)
+        first = np.arange(0, edges.size - 1, mesh.size)
+        # a group per period; a joining panel is a group of its own, discarded
+        out[lo:lo + l.size] = _halving_estimate(
+            lambda e: powcos_panels(
+                a, shift if e.size == edges.size else shift.repeat(2), 1.0,
+                e, _NODES, _WEIGHTS),
+            edges, np.sort(np.r_[first, first + mesh.size - 1]))[0][::2]
     return out
 
 
@@ -241,8 +266,7 @@ def witness_system(params, n_modes=60, spec=DEFAULT_SPEC):
     and bounded by the n = 0 coefficient (the integrand loses its
     oscillation), which certifies the tail for truncation bounds.
     """
-    if n_modes < 2:
-        raise DomainError("n_modes must be at least 2")
+    n_modes = _integer(n_modes, "n_modes", 2)
     table = XiTable(params, (n_modes + 1) // 2 + 1, spec)
     nu = np.abs(BasisIndexMap.frequencies(n_modes))
     xi = CoefficientVector(table.values[nu], tail_sup=table.values[0])
@@ -265,8 +289,7 @@ def divergence_profile(params, eps_list, tau=1.0, witness=None,
         raise DomainError("eps_list must be strictly decreasing")
     if not (np.all(eps_arr > 0.0) and np.all(eps_arr < tau) and tau <= 1.0):
         raise DomainError("need 0 < eps < tau <= 1 for every eps")
-    if per_decade < 64:
-        raise DomainError("per_decade must be at least 64")
+    per_decade = _integer(per_decade, "per_decade", 64)
     if witness is None:
         witness = witness_system(params, spec=spec)
     elif witness.table.params.q != params.q:
@@ -300,11 +323,10 @@ def orbit_lower_bound_check(params, n_range, samples_per_interval,
     below -tail_tolerance raises BoundViolated naming the offending (n, t).
     A given witness needs more than n_hi active modes.
     """
-    n_lo, n_hi = (int(n_range[0]), int(n_range[1]))
-    if not (0 <= n_lo <= n_hi):
+    n_lo, n_hi = (_integer(n_range[i], "n_range", 0) for i in (0, 1))
+    if not n_lo <= n_hi:
         raise DomainError("n_range must be 0 <= lo <= hi")
-    if samples_per_interval < 1:
-        raise DomainError("samples_per_interval must be positive")
+    per = _integer(samples_per_interval, "samples_per_interval", 1)
     if witness is None:
         witness = witness_system(params, n_modes=max(2 * (n_hi + 1), 60),
                                  spec=spec)
@@ -313,7 +335,6 @@ def orbit_lower_bound_check(params, n_range, samples_per_interval,
                           f"{witness.system.n_active} active modes")
     if np.any(witness.xi.values < 0.0):
         raise DomainError("lower bound needs nonnegative coefficients")
-    per = samples_per_interval
     ns = np.repeat(np.arange(n_lo, n_hi + 1), per)
     ts = 4.0 ** (-ns - 1.0) \
         * (1.0 + 3.0 * np.tile(np.arange(per) / per, n_hi - n_lo + 1))
@@ -358,9 +379,8 @@ class GramCache:
     __slots__ = ("params", "n_basis", "_nu", "_by_delta")
 
     def __init__(self, params, n_basis, spec=DEFAULT_SPEC):
-        if n_basis != int(n_basis) or n_basis < 1:
-            raise DomainError(f"n_basis must be a positive integer: {n_basis}")
-        dmax = int(n_basis) - 1  # n frequencies span n lattice points
+        n_basis = _integer(n_basis, "n_basis", 1)
+        dmax = n_basis - 1  # n frequencies span n lattice points
         g = 2.0 * params.beta + 1.0
         partial, est = period_table(g - 1.0, max(dmax, 1), spec)
         scale = np.arange(1, dmax + 1, dtype=float) ** (-g)
@@ -376,7 +396,7 @@ class GramCache:
                 f"entry d={d}", value=2.0 * value[d - 1],
                 estimate=2.0 * est[d - 1])
         self.params = params
-        self.n_basis = int(n_basis)
+        self.n_basis = n_basis
         self._nu = BasisIndexMap.frequencies(n_basis)
         self._by_delta = 2.0 * np.concatenate(([math.pi**g / g], value))
 
@@ -412,9 +432,8 @@ def bessel_failure_witness(params, N_list, spec=DEFAULT_SPEC, gram=None,
     converges to the squared state norm: their ratio diverges, refuting any
     lower frame constant.
     """
-    sizes = [int(N) for N in N_list]
-    if not sizes or any(b <= a for a, b in zip(sizes, sizes[1:])) \
-            or sizes[0] < 1:
+    sizes = [_integer(N, "N", 1) for N in N_list]
+    if not sizes or any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise DomainError("N_list must be strictly increasing positive ints")
     n_max = sizes[-1]
     if gram is None:
@@ -430,16 +449,30 @@ def bessel_failure_witness(params, N_list, spec=DEFAULT_SPEC, gram=None,
     return out
 
 
+_LCG_MUL, _LCG_ADD = 6364136223846793005, 1442695040888963407
+_LCG_BLOCK = 4096  # states per block of the jump-ahead
+
+
 def _lcg_uniform(seed, count):
     """Deterministic uniforms on [0, 1): 64-bit LCG, multiplier
-    6364136223846793005, increment 1442695040888963407, top 53 bits."""
+    6364136223846793005, increment 1442695040888963407, top 53 bits.
+
+    The k-step maps x -> mul[k-1] x + add[k-1] mod 2^64, k up to the block
+    size, come from doubling in wrapping uint64 arithmetic, which is exact
+    mod 2^64; block starts advance by the block map in Python ints, and each
+    block's states are the k-step maps applied to its start.
+    """
+    mul = np.array([_LCG_MUL], dtype=np.uint64)
+    add = np.array([_LCG_ADD], dtype=np.uint64)
+    while mul.size < min(count, _LCG_BLOCK):  # the first 2k maps from k
+        mul, add = (np.concatenate((mul, mul * mul[-1])),
+                    np.concatenate((add, add * mul[-1] + add[-1])))
     mask = (1 << 64) - 1
-    state = seed & mask
-    out = np.empty(count)
-    for i in range(count):
-        state = (6364136223846793005 * state + 1442695040888963407) & mask
-        out[i] = (state >> 11) / float(1 << 53)
-    return out
+    starts = [seed & mask]
+    for _ in range(1, -(-count // mul.size)):
+        starts.append((int(mul[-1]) * starts[-1] + int(add[-1])) & mask)
+    states = np.array(starts, dtype=np.uint64)[:, None] * mul + add
+    return (states.reshape(-1)[:count] >> 11) / float(1 << 53)
 
 
 def hilbertian_constant_estimate(params, trials, N, seed=20259,
@@ -450,10 +483,8 @@ def hilbertian_constant_estimate(params, trials, N, seed=20259,
     generator; the statistic lower-bounds the upper frame constant and
     stays bounded as N grows because the basis is Hilbertian.
     """
-    if trials < 1:
-        raise DomainError("trials must be at least 1")
-    if N < 1:
-        raise DomainError("N must be at least 1")
+    trials = _integer(trials, "trials", 1)
+    N = _integer(N, "N", 1)
     if gram is None:
         gram = GramCache(params, N, spec)
     draws = 2.0 * _lcg_uniform(seed, trials * N).reshape(trials, N) - 1.0

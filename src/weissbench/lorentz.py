@@ -169,7 +169,9 @@ def lorentz_norm(f, idx):
         top ( sum_i (peak_i/top)^q (p/q) (1 - (1 - w_i/e_i)^{q/p}) )^{1/q},
     whose terms are at most p/q and sum to at least p/q, so no power under-
     or overflows. Values are divided by their maximum first, so power-of-two
-    rescalings are exact. Raises DomainError only when the norm overflows.
+    rescalings are exact. Values already non-increasing skip the sort: its
+    stable order is then the identity, ties included, so the result is the
+    same bit for bit. Raises DomainError only when the norm overflows.
     """
     if not isinstance(idx, LorentzIndex):
         idx = LorentzIndex(*idx)
@@ -178,13 +180,15 @@ def lorentz_norm(f, idx):
     m = float(np.max(v))
     if m == 0.0:
         return 0.0
-    order = np.argsort(-v, kind="stable")
-    w = f.lengths[order]
+    w = f.lengths
+    if not np.all(v[1:] <= v[:-1]):
+        order = np.argsort(-v, kind="stable")
+        w, v = w[order], v[order]
     peak = np.cumsum(w)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         w /= peak  # w_i / e_i
         peak **= 1.0 / p
-        peak *= v[order] / m
+        peak *= v / m
         top = float(np.max(peak))
         if q != math.inf:
             np.log1p(np.negative(w, out=w), out=w)

@@ -13,12 +13,13 @@ from weissbench import (BasisIndexMap, BoundViolated, CoefficientVector,
                         state_norm, witness_system, xi_asymptotic,
                         xi_coefficient)
 from weissbench import counterexample as ce
-from weissbench.counterexample import (WitnessSystem, _lcg_uniform,
-                                       envelope_norm_q, gram_entry,
-                                       period_table, xi_period_decomposition)
+from weissbench.counterexample import (_LCG_BLOCK, WitnessSystem,
+                                       _lcg_uniform, envelope_norm_q,
+                                       gram_entry, period_table,
+                                       xi_period_decomposition)
 from weissbench.errors import ToleranceNotMet
 from weissbench.quadrature import (DEFAULT_SPEC, QuadratureSpec,
-                                   laplace_quadrature,
+                                   laplace_quadrature, powcos_quadrature,
                                    singular_oscillatory_integral)
 from weissbench.semigroup import (orbit_callable, orbit_decay_bound,
                                   resolvent_observation)
@@ -90,6 +91,47 @@ def test_xi_table_validation(p4):
         XiTable(p4, 0)
     with pytest.raises(DomainError):
         XiTable(p4, 2.5)
+    assert len(XiTable(p4, 3.0)) == 4  # an integral float is a count
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("call", [
+    lambda p, g, t: xi_period_decomposition(NAN, p),
+    lambda p, g, t: xi_period_decomposition(INF, p),
+    lambda p, g, t: XiTable(p, NAN),
+    lambda p, g, t: XiTable(p, INF),
+    lambda p, g, t: period_table(-0.75, NAN),
+    lambda p, g, t: period_table(-0.75, -INF),
+    lambda p, g, t: GramCache(p, NAN),
+    lambda p, g, t: GramCache(p, INF),
+    lambda p, g, t: xi_asymptotic(NAN, p),
+    lambda p, g, t: xi_asymptotic(INF, p),
+    lambda p, g, t: BasisIndexMap.frequency(NAN),
+    lambda p, g, t: BasisIndexMap.frequency(INF),
+    lambda p, g, t: BasisIndexMap.index(NAN),
+    lambda p, g, t: BasisIndexMap.index(-INF),
+    lambda p, g, t: witness_system(p, n_modes=NAN),
+    lambda p, g, t: witness_system(p, n_modes=INF),
+    lambda p, g, t: witness_system(p, n_modes=2.5),
+    lambda p, g, t: hilbertian_constant_estimate(p, 1, NAN, gram=g),
+    lambda p, g, t: hilbertian_constant_estimate(p, 1, INF, gram=g),
+    lambda p, g, t: hilbertian_constant_estimate(p, 1.5, 4, gram=g),
+    lambda p, g, t: divergence_profile(p, [1e-2], per_decade=NAN),
+    lambda p, g, t: divergence_profile(p, [1e-2], per_decade=INF),
+    lambda p, g, t: orbit_lower_bound_check(p, (0, 3), 1.5),
+    lambda p, g, t: bessel_failure_witness(p, [10.5, 20], gram=g, table=t),
+], ids=["periods-nan", "periods-inf", "xi-table-nan", "xi-table-inf",
+        "period-table-nan", "period-table-neg-inf", "gram-nan", "gram-inf",
+        "asymptotic-nan", "asymptotic-inf", "frequency-nan", "frequency-inf",
+        "index-nan", "index-neg-inf", "modes-nan", "modes-inf",
+        "modes-fraction", "hilbertian-N-nan", "hilbertian-N-inf",
+        "trials-fraction", "per-decade-nan", "per-decade-inf",
+        "samples-fraction", "bessel-sizes-fraction"])
+def test_malformed_counts_raise_domain_error(p4, gram4, table4, call):
+    with pytest.raises(DomainError):
+        call(p4, gram4, table4)
 
 
 def test_xi_table_smallest_sizes(p4):
@@ -156,6 +198,19 @@ def test_period_decomposition_against_reference(p4):
         assert per[l] == pytest.approx(want, rel=1e-9)
     assert np.all(per > 0.0)
     assert np.all(np.diff(per) < 0.0)
+
+
+@pytest.mark.parametrize("q", [3.0, 4.0, 8.0])
+def test_period_decomposition_equals_one_period_calls(q):
+    # the batched pass returns each period's powcos_quadrature value exactly
+    params = CounterexampleParams(q)
+    a = params.gamma - 1.0
+    want = np.array([powcos_quadrature(a, 2.0 * math.pi * l, 1.0,
+                                       2.0 * math.pi)[0]
+                     for l in range(1001)])
+    for n in (1, 2, 300, 1001):
+        got = xi_period_decomposition(n, params)
+        assert got.tobytes() == want[:n].tobytes()
 
 
 def test_period_reconciliation_identity(p4, table4):
@@ -422,15 +477,23 @@ def test_bessel_witness_validation(p4, gram4):
 
 
 def test_lcg_stream_is_the_documented_recurrence():
-    got = _lcg_uniform(12345, 3)
+    # the jump-ahead against the one-step loop, either side of the doubling
+    # steps and of the block boundaries
     mask = (1 << 64) - 1
-    state = 12345
-    want = []
-    for _ in range(3):
-        state = (6364136223846793005 * state + 1442695040888963407) & mask
-        want.append((state >> 11) / float(1 << 53))
-    assert np.array_equal(got, want)
-    assert np.all((got >= 0.0) & (got < 1.0))
+    b = _LCG_BLOCK
+    for seed in (0, 12345, -1, 2**64 - 1, 2**70 + 3):
+        state = seed & mask
+        want = []
+        for _ in range(19_200):
+            state = (6364136223846793005 * state + 1442695040888963407) & mask
+            want.append((state >> 11) / float(1 << 53))
+        want = np.array(want)
+        for count in (0, 1, 2, 3, 5, b - 1, b, b + 1, 2 * b - 1, 2 * b,
+                      2 * b + 1, 19_200):
+            got = _lcg_uniform(seed, count)
+            assert got.shape == (count,)
+            assert got.tobytes() == want[:count].tobytes()
+        assert np.all((got >= 0.0) & (got < 1.0))
 
 
 def test_hilbertian_estimate_is_rayleigh_quotient(p4, gram4):

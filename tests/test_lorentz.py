@@ -289,6 +289,51 @@ def test_norm_invariant_under_rearrangement():
                 pytest.approx(lorentz_norm(g, idx), rel=1e-13, abs=1e-300)
 
 
+def always_sorting_norm(f, p, q):
+    """lorentz_norm with a stable sort of every input, the reference that
+    the sort-skipping path for non-increasing values must equal bit for bit.
+    """
+    v = f.values
+    m = float(np.max(v))
+    if m == 0.0:
+        return 0.0
+    order = np.argsort(-v, kind="stable")
+    w = f.lengths[order]
+    peak = np.cumsum(w)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        w /= peak
+        peak **= 1.0 / p
+        peak *= v[order] / m
+        top = float(np.max(peak))
+        if q != math.inf:
+            np.log1p(np.negative(w, out=w), out=w)
+            np.expm1(np.multiply(w, q / p, out=w), out=w)
+            np.power(np.divide(peak, top, out=peak), q, out=peak)
+            peak *= w
+            top *= (-(p / q) * float(np.sum(peak))) ** (1.0 / q)
+    return m * top
+
+
+def test_norm_equals_always_sorting_reference():
+    rng = np.random.default_rng(15)
+    grid = [0.0, 0.25, 1.0, 3.0]
+    edges = np.logspace(-12.0, math.log10(4.0), 1_000_001)  # the suite's
+    fns = [StepFunction([0.0, 0.5, 1.25, 2.0, 3.5, 4.0, 4.5],
+                        [3.0, 3.0, 2.0, 2.0, 2.0, 0.0]),  # ties, zero tail
+           StepFunction([0.3, 1.1], [2.5]),  # a single segment
+           sample_steps(lambda t: np.exp(-10.0 * t), edges)]
+    for _ in range(20):
+        f = random_step(rng)
+        tied = random_step(rng, tie_grid=grid)
+        fns += [f, tied,  # unsorted in general
+                decreasing_rearrangement(f),  # strictly decreasing
+                StepFunction(tied.breakpoints, np.sort(tied.values)[::-1])]
+    for f in fns:
+        for p in (1.5, 2.0, 3.0):
+            for q in (1.0, 2.5, 4.0, math.inf):
+                assert lorentz_norm(f, (p, q)) == always_sorting_norm(f, p, q)
+
+
 def test_power_of_two_scaling_exact():
     rng = np.random.default_rng(14)
     f = random_step(rng)
