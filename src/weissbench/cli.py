@@ -97,6 +97,7 @@ def _lower_bound_check(name, params, n_hi, witness):
 
 
 # --------------------------------------------------------------- suites
+# each gets the run's arguments plus params, spec and witness() (see run)
 def _suite_lorentz_closed_forms(args, outdir):
     rows = []
     worst = 0.0
@@ -213,9 +214,7 @@ def _suite_orthonormal_model(args, outdir):
 
 
 def _suite_weiss_scan(args, outdir):
-    params = ce.CounterexampleParams(args.q)
-    spec = QuadratureSpec(relative_tolerance=args.tol)
-    witness = ce.witness_system(params, spec=spec)
+    witness = args.witness()
     lams = semigroup.lambda_grid()
     quot = semigroup.weiss_quotient(witness.system, witness.xi,
                                     witness.x_norm, lams, tol=1e-12)
@@ -229,9 +228,7 @@ def _suite_weiss_scan(args, outdir):
 
 
 def _suite_orbit(args, outdir):
-    params = ce.CounterexampleParams(args.q)
-    spec = QuadratureSpec(relative_tolerance=args.tol)
-    witness = ce.witness_system(params, spec=spec)
+    witness = args.witness()
     t_grid = semigroup.log_grid(args.eps_min, args.tau)
     profile = semigroup.decay_profile(witness.system, witness.xi,
                                       witness.x_norm, t_grid)
@@ -241,13 +238,12 @@ def _suite_orbit(args, outdir):
     checks = [check("witness-decay-bounded", 10.0 - sup,
                     f"sup of t^(1/2)|orbit|/x_norm is {sup:.6f} on "
                     f"[{args.eps_min:g}, {args.tau:g}]")]
-    return checks + _lower_bound_check("orbit-lower-bound-quick", params, 12,
-                                       witness)
+    return checks + _lower_bound_check("orbit-lower-bound-quick", args.params,
+                                       12, witness)
 
 
 def _suite_counterexample(args, outdir):
-    params = ce.CounterexampleParams(args.q)
-    spec = QuadratureSpec(relative_tolerance=args.tol)
+    params, spec = args.params, args.spec
     table = ce.XiTable(params, 10_000, spec)
     checks = []
 
@@ -292,7 +288,7 @@ def _suite_counterexample(args, outdir):
     write_csv(os.path.join(outdir, "xi.csv"),
               ["n", "xi", "xi_asymptotic"], rows)
 
-    witness = ce.witness_system(params, spec=spec)
+    witness = args.witness()
     checks += _lower_bound_check("orbit-lower-bound", params, 20, witness)
 
     decades = max(2, int(math.floor(-math.log10(args.eps_min) / 2.0)))
@@ -326,8 +322,7 @@ def _suite_counterexample(args, outdir):
 
 
 def _suite_bessel(args, outdir):
-    params = ce.CounterexampleParams(args.q)
-    spec = QuadratureSpec(relative_tolerance=args.tol)
+    params, spec = args.params, args.spec
     sizes = (100, 200, 400, 800, 1600)
     gram = ce.GramCache(params, sizes[-1], spec)
     closed = 2.0 * math.pi ** (2.0 * params.beta + 1.0) \
@@ -376,8 +371,13 @@ def run(args):
     _validate_window(args)
     if args.seed < 0:
         raise DomainError("seed must be a nonnegative integer")
-    QuadratureSpec(relative_tolerance=args.tol)
+    spec = QuadratureSpec(relative_tolerance=args.tol)
     params = ce.CounterexampleParams(args.q)
+    # the suites' shared inputs, built once; the witness on first use, in
+    # the guarded suite that needs it, so a failed build is its failed check
+    witness = functools.cache(lambda: ce.witness_system(params, spec=spec))
+    shared = argparse.Namespace(**vars(args), params=params, spec=spec,
+                                witness=witness)
     suites = (("lorentz-closed-forms", _suite_lorentz_closed_forms),
               ("laplace-identity", _suite_laplace_identity),
               ("weiss-scan", _suite_weiss_scan),
@@ -388,7 +388,7 @@ def run(args):
     for name, suite in suites:
         if args.command in (name, "full-report"):
             checks += _guarded(f"{name}-suite",
-                               functools.partial(suite, args, outdir))
+                               functools.partial(suite, shared, outdir))
     write_summary(os.path.join(outdir, "summary.json"),
                   summary_payload(params, checks))
     failed = [c for c in checks if not c.passed]

@@ -16,12 +16,11 @@ import numpy as np
 from ._kernels import powcos_panels
 from .errors import BoundViolated, DomainError, ToleranceNotMet
 from .lorentz import lorentz_norm, sample_steps
-from .quadrature import (_EPS, _NODES, _WEIGHTS, DEFAULT_SPEC, MAX_PANELS,
-                         _graded_mesh, _halving_estimate, gamma_function,
-                         powcos_quadrature, singular_end,
-                         singular_oscillatory_integral)
-from .semigroup import (CoefficientVector, DiagonalSystem, log_grid,
-                        orbit_callable, orbit_observation)
+from .quadrature import (_EPS, _NODES, _WEIGHTS, DEFAULT_SPEC,
+                         _halving_estimate, gamma_function, powcos_quadrature,
+                         singular_end, singular_oscillatory_integral)
+from .semigroup import (CoefficientVector, DiagonalSystem, _integer,
+                        log_grid, orbit_callable, orbit_observation)
 
 __all__ = [
     "CounterexampleParams",
@@ -44,20 +43,6 @@ __all__ = [
     "bessel_failure_witness",
     "hilbertian_constant_estimate",
 ]
-
-
-def _integer(value, name, low=None):
-    """value as an int: an integer, or an integral float, of at least low;
-    anything else (NaN, infinities and fractions included) raises
-    DomainError."""
-    try:
-        ok = value == int(value) and (low is None or value >= low)
-    except (TypeError, ValueError, OverflowError):
-        ok = False
-    if not ok:
-        bound = "" if low is None else f" >= {low}"
-        raise DomainError(f"{name} must be an integer{bound}, got {value!r}")
-    return int(value)
 
 
 class CounterexampleParams:
@@ -195,33 +180,13 @@ def xi_period_decomposition(n, params, spec=DEFAULT_SPEC):
     Each I_l is nonnegative and the sequence decreases: the even-index
     reconciliation xi(2m) = (2m)^(-gamma)/pi * sum_{l<m} I_l ties the
     decomposition back to xi_coefficient exactly (substitute u = 2m s and
-    split (0, 2 pi m) into whole periods). I_0 is powcos_quadrature's, with
-    its closed singular end. Every later period takes the two-panel mesh
-    powcos_quadrature gives it, tiled with shift 2 pi l per panel and
-    evaluated in one halving pass per run of at most MAX_PANELS panels, so
-    each I_l equals its one-period powcos_quadrature value bit for bit.
+    split (0, 2 pi m) into whole periods). One powcos_quadrature call over
+    the shifts 2 pi l gives every I_l its one-period value bit for bit; I_0
+    has the closed singular end.
     """
     n = _integer(n, "n", 1)
-    a = params.gamma - 1.0
-    out = np.empty(n)
-    out[0], _ = powcos_quadrature(a, 0.0, 1.0, 2.0 * math.pi, spec)
-    mesh = _graded_mesh(2.0 * math.pi, math.pi, None)
-    per = MAX_PANELS // mesh.size  # periods a run, joining panels counted
-    for lo in range(1, n, per):
-        l = np.arange(lo, min(lo + per, n))
-        # each period's panels, then one joining it to the next, the last
-        # one too: that keeps every period off the last rows of the kernel's
-        # matrix-vector product, which BLAS may sum in another order
-        edges = np.append(np.tile(mesh, l.size), 0.0)
-        shift = np.repeat(2.0 * math.pi * l, mesh.size)
-        first = np.arange(0, edges.size - 1, mesh.size)
-        # a group per period; a joining panel is a group of its own, discarded
-        out[lo:lo + l.size] = _halving_estimate(
-            lambda e: powcos_panels(
-                a, shift if e.size == edges.size else shift.repeat(2), 1.0,
-                e, _NODES, _WEIGHTS),
-            edges, np.sort(np.r_[first, first + mesh.size - 1]))[0][::2]
-    return out
+    return powcos_quadrature(params.gamma - 1.0, 2.0 * math.pi * np.arange(n),
+                             1.0, 2.0 * math.pi, spec)[0]
 
 
 def envelope(t, params):

@@ -74,28 +74,65 @@ def _graded_mesh(L, cap, hmin):
                            np.linspace(cap, L, m_uni + 1)))
 
 
-def _halving_estimate(contributions, edges, starts=(0,)):
+def _halving_estimate(contributions, edges, starts=(0,), panel_args=()):
     """(fine value, estimate, fine abs sum) per group of panels, as arrays.
 
-    contributions(edges) returns the per-panel Gauss sums of a mesh; group i
-    starts at coarse panel starts[i], and at fine panel 2 starts[i] of the
-    halving. The estimate is the coarse/fine gap plus 64 eps times the fine
-    abs sum. That floor bounds the roundoff of np.add.reduceat, the one sum
-    every route takes: numpy adds a group's first term to a pairwise sum of
-    the rest, which sums blocks of at most 128 terms in 8 running sums plus
-    a remainder (at most 25 additions a term) and halves longer runs, at
-    most 13 times below 2 MAX_PANELS terms, complex ones too. A term meets
-    at most 39 additions, so the error is below 39 (eps/2) times abs sum.
+    contributions(edges, *panel_args) returns the per-panel Gauss sums of a
+    mesh, each of panel_args one value a panel (each twice on the halving);
+    group i starts at coarse panel starts[i], and at fine panel 2 starts[i].
+    The estimate is the coarse/fine gap plus 64 eps times the fine abs sum.
+    That floor bounds the roundoff of np.add.reduceat, the one sum every
+    route takes: numpy adds a group's first term to a pairwise sum of the
+    rest, which sums blocks of at most 128 terms in 8 running sums plus a
+    remainder (at most 25 additions a term) and halves longer runs, at most
+    13 times below 2 MAX_PANELS terms, complex ones too. A term meets at
+    most 39 additions, so the error is below 39 (eps/2) times abs sum.
     """
     halved = np.empty(2 * edges.size - 1)
     halved[0::2] = edges
     halved[1::2] = 0.5 * (edges[1:] + edges[:-1])
     starts = np.asarray(starts)
-    coarse = np.add.reduceat(contributions(edges), starts)
-    c = contributions(halved)
+    coarse = np.add.reduceat(contributions(edges, *panel_args), starts)
+    c = contributions(halved, *(v.repeat(2) for v in panel_args))
     fine = np.add.reduceat(c, 2 * starts)
     abssum = np.add.reduceat(np.abs(c), 2 * starts)
     return fine, np.abs(fine - coarse) + 64.0 * _EPS * abssum, abssum
+
+
+def _mesh_estimates(contributions, meshes, values):
+    """(fine value, estimate, fine abs sum) per mesh of the iterable meshes,
+    as lists; a mesh's panels take its entry of the array values, passed as
+    contributions(edges, per-panel values). Meshes join in order into runs
+    of at most MAX_PANELS panels, one halving pass a run (a mesh in the
+    budget alone makes one). The panel joining a mesh to the next, and a
+    zero-width panel after a run's last, take its value and are discarded
+    groups of their own. That zero-width panel fills the fine mesh's last
+    two rows (an even count), where BLAS's matrix-vector product may sum in
+    another order: so a mesh's fine value is the one it has alone, bit for
+    bit, wherever its run puts it. One run's meshes are held at a time.
+    """
+    out = [], [], []
+
+    def evaluate(run):
+        sizes = np.array([m.size for m in run])
+        ends = np.cumsum(sizes)  # a mesh's joining panel is its end - 1
+        k = len(out[0])
+        for acc, v in zip(out, _halving_estimate(
+                contributions, np.concatenate(run + [run[-1][-1:]]),
+                np.c_[ends - sizes, ends - 1].ravel(),
+                (values[k:k + len(run)].repeat(sizes),))):
+            acc.extend(v[::2].tolist())
+
+    run, panels = [], 0
+    for m in meshes:
+        if run and panels + m.size > MAX_PANELS:
+            evaluate(run)
+            run, panels = [], 0
+        run.append(m)
+        panels += m.size
+    if run:
+        evaluate(run)
+    return out
 
 
 def singular_end(a, freq, L, cap, spec=DEFAULT_SPEC):
@@ -112,18 +149,25 @@ def singular_end(a, freq, L, cap, spec=DEFAULT_SPEC):
 
 
 def powcos_quadrature(a, shift, freq, L, spec=DEFAULT_SPEC):
-    """(value, error estimate) for integral of (shift+s)^a cos(freq s) on [0, L].
+    """(value, error estimate) for integral of (shift+s)^a cos(freq s) on
+    [0, L], at one shift or, as two arrays, over a 1-d array of them.
 
-    Uniform panels are capped at half a period pi/freq; with shift == 0,
-    singular_end's head joins the value and its bound the estimate. No
-    tolerance gate is applied; callers compare against their own scale.
+    Uniform panels are capped at half a period pi/freq; shift 0 takes
+    singular_end's mesh, whose head joins the value and its bound the
+    estimate. No tolerance gate is applied; callers compare against their
+    own scale.
     """
+    shifts = np.asarray(shift, dtype=float)
+    zero = shifts.reshape(-1) == 0.0
     cap = min(L / 2.0, math.pi / freq) if freq > 0.0 else L / 2.0
-    edges, head, bound = (singular_end(a, freq, L, cap, spec) if shift == 0.0
-                          else (_graded_mesh(L, cap, None), 0.0, 0.0))
-    fine, est, _ = (v.item() for v in _halving_estimate(
-        lambda e: powcos_panels(a, shift, freq, e, _NODES, _WEIGHTS), edges))
-    return fine + head, est + bound
+    end, head, bound = (singular_end(a, freq, L, cap, spec) if zero.any()
+                        else (None, 0.0, 0.0))
+    plain = None if zero.all() else _graded_mesh(L, cap, None)
+    fine, est, _ = _mesh_estimates(
+        lambda e, c: powcos_panels(a, c, freq, e, _NODES, _WEIGHTS),
+        (end if z else plain for z in zero.tolist()), shifts.reshape(-1))
+    value, est = np.array(fine) + head * zero, np.array(est) + bound * zero
+    return (value.item(), est.item()) if shifts.ndim == 0 else (value, est)
 
 
 def singular_oscillatory_integral(gamma_exp, n, spec=DEFAULT_SPEC):
@@ -169,11 +213,10 @@ def laplace_quadrature(orbit, lam, spec=DEFAULT_SPEC, *, T, decay):
     room for orbits that cancel far below M. At lam = 1, alpha = 0 and the
     default tolerance the graded layer has 59 levels. Every point keeps the
     mesh, value and gate of a one-point call, bit for bit, and its mesh is
-    checked against MAX_PANELS on its own; consecutive points are evaluated
-    together in runs of at most MAX_PANELS panels. Non-finite lam or T raise
-    DomainError before orbit is called. The caller chooses T so the
-    discarded tail is below tolerance. One lam returns a complex, an array
-    of them a complex array.
+    checked against MAX_PANELS on its own; _mesh_estimates evaluates the
+    points in runs. Non-finite lam or T raise DomainError before orbit is
+    called. The caller chooses T so the discarded tail is below tolerance.
+    One lam returns a complex, an array of them a complex array.
     """
     lams = np.asarray(lam, dtype=complex)
     Ts = np.asarray(T, dtype=float)
@@ -198,11 +241,14 @@ def laplace_quadrature(orbit, lam, spec=DEFAULT_SPEC, *, T, decay):
     g = 1.0 - alpha
     hscale = (1e-8 * spec.relative_tolerance) ** (1.0 / g)
     points = list(zip(lams.tolist(), Ts.tolist()))
+    heads = []
 
     def meshes():
         for z, t in points:
             cap = min(math.pi / max(abs(z.imag), 1e-300), 0.5 / z.real, t / 4.0)
-            yield _graded_mesh(t, cap, hscale * min(t, 1.0 / abs(z)))
+            m = _graded_mesh(t, cap, hscale * min(t, 1.0 / abs(z)))
+            heads.append(float(m[0]))  # the mesh starts at its h
+            yield m
 
     def integrand(s, neg_lam):
         z = neg_lam * s
@@ -210,39 +256,13 @@ def laplace_quadrature(orbit, lam, spec=DEFAULT_SPEC, *, T, decay):
         z *= np.asarray(orbit(s.ravel())).reshape(s.shape)
         return z
 
-    values = []
-    for run in _runs(meshes()):
-        # one mesh of the run's points: the panel joining two of them takes
-        # the first one's lam and is a group of its own, discarded
-        k = len(values)
-        sizes = [m.size for m in run]
-        edges = np.concatenate(run)
-        neg_lam = np.repeat(-lams[k:k + len(run)], sizes)[:-1]
-        first = np.cumsum([0] + sizes[:-1])
-        fine, est, abssum = (v[::2].tolist() for v in _halving_estimate(
-            lambda e: gauss_contributions(
-                integrand, e, _NODES, _WEIGHTS,
-                neg_lam if e.size == edges.size else neg_lam.repeat(2)),
-            edges, np.sort(np.r_[first, first[1:] - 1])))
-        for (z, t), m, value, e, a in zip(points[k:], run, fine, est, abssum):
-            e += M * float(m[0]) ** g / g
-            if e > spec.relative_tolerance * max(abs(value), 0.01 * a):
-                raise ToleranceNotMet(
-                    f"estimate {e:.3e} exceeds tolerance for lambda={z}, "
-                    f"T={t}", value=value, estimate=e)
-            values.append(value)
+    values, est, abssum = _mesh_estimates(
+        lambda e, neg_lam: gauss_contributions(integrand, e, _NODES, _WEIGHTS,
+                                               neg_lam), meshes(), -lams)
+    for (z, t), h, value, e, a in zip(points, heads, values, est, abssum):
+        e += M * h ** g / g
+        if e > spec.relative_tolerance * max(abs(value), 0.01 * a):
+            raise ToleranceNotMet(
+                f"estimate {e:.3e} exceeds tolerance for lambda={z}, "
+                f"T={t}", value=value, estimate=e)
     return values[0] if one else np.array(values)
-
-
-def _runs(meshes):
-    """Consecutive meshes in runs of at most MAX_PANELS panels, counting the
-    panel that joins each mesh to the next; a mesh within the budget on its
-    own always makes a run."""
-    run, panels = [], -1
-    for m in meshes:
-        if run and panels + m.size > MAX_PANELS:
-            yield run
-            run, panels = [], -1
-        run.append(m)
-        panels += m.size
-    yield run

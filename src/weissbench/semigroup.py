@@ -45,14 +45,27 @@ def _upper_half_ratio(terms):
     return float(np.max(ratios)) if ratios.size else 0.0
 
 
+def _integer(value, name, low=None):
+    """value as an int: an integer, or an integral float, of at least low;
+    anything else (NaN, infinities and fractions included) raises
+    DomainError."""
+    try:
+        ok = value == int(value) and (low is None or value >= low)
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        bound = "" if low is None else f" >= {low}"
+        raise DomainError(f"{name} must be an integer{bound}, got {value!r}")
+    return int(value)
+
+
 class DiagonalSystem:
     """Diagonal generator with eigenvalues mu_k and observation weights c_k."""
 
     __slots__ = ("mu", "c", "n_active")
 
     def __init__(self, mu_rule, c_rule, n_active=64):
-        if n_active < 2:
-            raise DomainError("n_active must be at least 2")
+        n_active = _integer(n_active, "n_active", 2)
         k = np.arange(n_active)
         mu = np.asarray([float(mu_rule(int(i))) for i in k])
         c = np.asarray([float(c_rule(int(i))) for i in k])
@@ -294,5 +307,8 @@ def lambda_grid(n_moduli=25, n_args=17, mod_min=1e-4, mod_max=1e8):
 
 def log_grid(lo, hi, per_decade=64):
     """Log-spaced points from lo to hi, at least per_decade to a decade."""
+    if not 0.0 < lo < hi < math.inf:
+        raise DomainError(f"log_grid needs 0 < lo < hi finite, got {lo}, {hi}")
+    per_decade = _integer(per_decade, "per_decade", 1)
     count = int(math.ceil(math.log10(hi / lo) * per_decade)) + 1
     return np.logspace(math.log10(lo), math.log10(hi), count)

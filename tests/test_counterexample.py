@@ -21,8 +21,8 @@ from weissbench.errors import ToleranceNotMet
 from weissbench.quadrature import (DEFAULT_SPEC, QuadratureSpec,
                                    laplace_quadrature, powcos_quadrature,
                                    singular_oscillatory_integral)
-from weissbench.semigroup import (orbit_callable, orbit_decay_bound,
-                                  resolvent_observation)
+from weissbench.semigroup import (log_grid, orbit_callable,
+                                  orbit_decay_bound, resolvent_observation)
 
 
 @pytest.fixture(scope="module")
@@ -122,13 +122,25 @@ NAN, INF = math.nan, math.inf
     lambda p, g, t: divergence_profile(p, [1e-2], per_decade=INF),
     lambda p, g, t: orbit_lower_bound_check(p, (0, 3), 1.5),
     lambda p, g, t: bessel_failure_witness(p, [10.5, 20], gram=g, table=t),
+    lambda p, g, t: DiagonalSystem.default(n_active=2.5),
+    lambda p, g, t: DiagonalSystem.default(n_active=NAN),
+    lambda p, g, t: log_grid(0.0, 1.0),
+    lambda p, g, t: log_grid(1.0, 1e-3),
+    lambda p, g, t: log_grid(1e-3, INF),
+    lambda p, g, t: log_grid(NAN, 1.0),
+    lambda p, g, t: log_grid(1e-3, 1.0, per_decade=NAN),
+    lambda p, g, t: log_grid(1e-3, 1.0, per_decade=0),
+    lambda p, g, t: log_grid(1e-3, 1.0, per_decade=2.5),
 ], ids=["periods-nan", "periods-inf", "xi-table-nan", "xi-table-inf",
         "period-table-nan", "period-table-neg-inf", "gram-nan", "gram-inf",
         "asymptotic-nan", "asymptotic-inf", "frequency-nan", "frequency-inf",
         "index-nan", "index-neg-inf", "modes-nan", "modes-inf",
         "modes-fraction", "hilbertian-N-nan", "hilbertian-N-inf",
         "trials-fraction", "per-decade-nan", "per-decade-inf",
-        "samples-fraction", "bessel-sizes-fraction"])
+        "samples-fraction", "bessel-sizes-fraction", "n-active-fraction",
+        "n-active-nan", "log-grid-zero-lo", "log-grid-reversed",
+        "log-grid-inf-hi", "log-grid-nan-lo", "log-grid-per-decade-nan",
+        "log-grid-per-decade-zero", "log-grid-per-decade-fraction"])
 def test_malformed_counts_raise_domain_error(p4, gram4, table4, call):
     with pytest.raises(DomainError):
         call(p4, gram4, table4)

@@ -17,8 +17,11 @@ from oracle_values import GAMMA_REF, POWCOS_REF
 from weissbench import (CounterexampleParams, DomainError, QuadratureSpec,
                         ToleranceNotMet, gamma_function, laplace_quadrature,
                         singular_oscillatory_integral, witness_system)
+from weissbench import quadrature
 from weissbench.cli import _laplace_lambda_points, _random_finite_system
+from weissbench.counterexample import xi_period_decomposition
 from weissbench.quadrature import (MAX_PANELS, _graded_mesh,
+                                   powcos_quadrature,
                                    singular_oscillatory_detail)
 from weissbench.semigroup import orbit_callable, orbit_decay_bound
 
@@ -342,6 +345,56 @@ def test_laplace_batch_matches_one_point_calls():
                                          np.broadcast_to(T, points.shape))]
             assert batch.shape == points.shape
             assert same_bits(batch, singles)
+
+
+def test_runs_split_every_few_meshes_bit_for_bit(monkeypatch):
+    # a budget just above the largest single mesh splits each batched call
+    # into runs of a few meshes; every mesh keeps its one-mesh value,
+    # wherever its run starts or ends
+    sizes, passes = [], []
+    graded, halving = quadrature._graded_mesh, quadrature._halving_estimate
+
+    def recorded_mesh(*args):
+        edges = graded(*args)
+        sizes.append(edges.size)
+        return edges
+
+    def counted_pass(*args):
+        passes.append(args)
+        return halving(*args)
+
+    monkeypatch.setattr(quadrature, "_graded_mesh", recorded_mesh)
+    monkeypatch.setattr(quadrature, "_halving_estimate", counted_pass)
+    a, shifts, L = -0.75, 2.0 * math.pi * np.arange(40), 2.0 * math.pi
+    system, xi = _random_finite_system(np.random.default_rng(7))
+    orbit = orbit_callable(system, xi)
+    lams = _laplace_lambda_points()
+    Ts = 40.0 / (system.mu[0] + lams.real)
+    decay = orbit_decay_bound(system, xi, 0.0)
+    spec = QuadratureSpec(relative_tolerance=1e-8)
+    cases = (
+        (lambda: powcos_quadrature(a, shifts, 5.0, L)[0],
+         lambda: [powcos_quadrature(a, c, 5.0, L)[0] for c in shifts.tolist()]),
+        (lambda: laplace_quadrature(orbit, lams, spec, T=Ts, decay=decay),
+         lambda: [laplace_quadrature(orbit, z, spec, T=t, decay=decay)
+                  for z, t in zip(lams.tolist(), Ts.tolist())]))
+    for batch, singles in cases:
+        sizes.clear()
+        want = singles()
+        monkeypatch.setattr(quadrature, "MAX_PANELS", max(sizes) + 2)
+        passes.clear()
+        got = batch()
+        assert 5 < len(passes) < len(want)  # some runs hold several meshes
+        assert same_bits(got, want)
+        monkeypatch.setattr(quadrature, "MAX_PANELS", MAX_PANELS)
+    # one period: shift 0 alone; no shift at all: no pass
+    params = CounterexampleParams(4.0)
+    a = params.gamma - 1.0
+    assert xi_period_decomposition(1, params).tolist() == \
+        [powcos_quadrature(a, 0.0, 1.0, L)[0]]
+    passes.clear()
+    value, est = powcos_quadrature(a, np.zeros(0), 1.0, L)
+    assert value.shape == est.shape == (0,) and not passes
 
 
 def test_laplace_point_and_shape_checks():
