@@ -14,8 +14,8 @@ import sys
 
 import numpy as np
 
+from . import __version__, lorentz, semigroup
 from . import counterexample as ce
-from . import lorentz, semigroup
 from .errors import (EXIT_CHECK_FAILED, EXIT_CONFIG_INVALID, EXIT_IO_ERROR,
                      EXIT_OK, DomainError, WeissbenchError)
 from .quadrature import QuadratureSpec, laplace_quadrature
@@ -307,7 +307,7 @@ def _suite_counterexample(args, outdir):
     checks.append(check("strong-norm-monotone", growth,
                         "q-th power of the (2,q) norm grows at every "
                         "endpoint step"))
-    reg = np.array([math.log(1.0 + math.log(1.0 / e)) for e in eps_list])
+    reg = np.array([math.log(1.0 + ce.log_inverse(e)) for e in eps_list])
     env_slope = float(np.polyfit(reg, profile[:, 1] ** params.q, 1)[0])
     with np.errstate(over="ignore"):
         strong_q = profile[:, 2] ** params.q
@@ -389,8 +389,10 @@ def run(args):
         if args.command in (name, "full-report"):
             checks += _guarded(f"{name}-suite",
                                functools.partial(suite, shared, outdir))
+    config = {"tol": args.tol, "tau": args.tau, "eps_min": args.eps_min,
+              "seed": args.seed, "version": __version__}
     write_summary(os.path.join(outdir, "summary.json"),
-                  summary_payload(params, checks))
+                  summary_payload(params, config, checks))
     failed = [c for c in checks if not c.passed]
     for c in failed:
         sys.stderr.write(f"FAILED {c.name}: {c.details}\n")

@@ -31,6 +31,7 @@ __all__ = [
     "xi_asymptotic",
     "xi_period_decomposition",
     "envelope",
+    "log_inverse",
     "envelope_norm_q",
     "state_norm",
     "WitnessSystem",
@@ -57,7 +58,10 @@ class CounterexampleParams:
         self.q = q
         self.q_conj = q / (q - 1.0)
         self.beta = 1.0 / (2.0 * self.q_conj)
-        self.gamma = 1.0 - 2.0 * self.beta
+        self.gamma = 1.0 / q  # equals 1 - 2 beta, without its cancellation
+        if self.gamma - 1.0 == -1.0:  # every q >= 2^54
+            raise DomainError(f"q must lie below 2^54, got {q!r}: the "
+                              "witness exponent 1/q - 1 rounds to -1")
 
     def __repr__(self):
         return (f"CounterexampleParams(q={self.q!r}, beta={self.beta!r}, "
@@ -198,6 +202,13 @@ def envelope(t, params):
     return float(value) if value.ndim == 0 else value
 
 
+def log_inverse(x):
+    """log(1/x) for x > 0: math.log(1.0 / x) where 1/x is finite, and
+    -math.log(x) for a subnormal x, whose reciprocal overflows."""
+    inverse = 1.0 / x
+    return math.log(inverse) if inverse < math.inf else -math.log(x)
+
+
 def envelope_norm_q(eps, tau, params):
     """Closed-form Lorentz (2, q) norm of the envelope over (eps, tau).
 
@@ -207,7 +218,7 @@ def envelope_norm_q(eps, tau, params):
     """
     if not 0.0 < eps < tau <= 1.0:
         raise DomainError("need 0 < eps < tau <= 1")
-    ratio = (1.0 + math.log(1.0 / eps)) / (1.0 + math.log(1.0 / tau))
+    ratio = (1.0 + log_inverse(eps)) / (1.0 + log_inverse(tau))
     return math.log(ratio) ** (1.0 / params.q)
 
 

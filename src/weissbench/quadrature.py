@@ -29,6 +29,8 @@ __all__ = [
 GAUSS_ORDER = 12
 _NODES, _WEIGHTS = (np.ascontiguousarray(a)
                     for a in np.polynomial.legendre.leggauss(GAUSS_ORDER))
+# leggauss symmetrizes its nodes: _NODES[:_HALF] is -_NODES[_HALF:] reversed
+_HALF = GAUSS_ORDER // 2
 _EPS = float(np.finfo(float).eps)
 _GRADING_RATIO = 0.5
 MAX_PANELS = 200_000
@@ -104,23 +106,26 @@ def _mesh_estimates(contributions, meshes, values):
     as lists; a mesh's panels take its entry of the array values, passed as
     contributions(edges, per-panel values). Meshes join in order into runs
     of at most MAX_PANELS panels, one halving pass a run (a mesh in the
-    budget alone makes one). The panel joining a mesh to the next, and a
-    zero-width panel after a run's last, take its value and are discarded
-    groups of their own. That zero-width panel fills the fine mesh's last
-    two rows (an even count), where BLAS's matrix-vector product may sum in
-    another order: so a mesh's fine value is the one it has alone, bit for
-    bit, wherever its run puts it. One run's meshes are held at a time.
+    budget alone makes one). The panel joining a mesh to the next, and
+    three zero-width panels after a run's last, take its value and are
+    discarded groups of their own. BLAS's matrix-vector product may sum the
+    last (rows mod 4) rows of a call, at most 3, and every row of a call
+    with fewer than 4, in another order; the zero-width panels fill those
+    rows in both passes, so a mesh's fine value and estimate are the ones
+    it has alone, bit for bit, wherever its run puts it. One run's meshes
+    are held at a time.
     """
     out = [], [], []
 
     def evaluate(run):
         sizes = np.array([m.size for m in run])
         ends = np.cumsum(sizes)  # a mesh's joining panel is its end - 1
+        starts = np.c_[ends - sizes, ends - 1].ravel()
+        sizes[-1] += 2  # the last mesh's value on all three end panels
         k = len(out[0])
         for acc, v in zip(out, _halving_estimate(
-                contributions, np.concatenate(run + [run[-1][-1:]]),
-                np.c_[ends - sizes, ends - 1].ravel(),
-                (values[k:k + len(run)].repeat(sizes),))):
+                contributions, np.concatenate(run + [run[-1][-1:]] * 3),
+                starts, (values[k:k + len(run)].repeat(sizes),))):
             acc.extend(v[::2].tolist())
 
     run, panels = [], 0
@@ -250,9 +255,19 @@ def laplace_quadrature(orbit, lam, spec=DEFAULT_SPEC, *, T, decay):
             heads.append(float(m[0]))  # the mesh starts at its h
             yield m
 
-    def integrand(s, neg_lam):
-        z = neg_lam * s
-        np.exp(z, out=z)
+    def integrand(s, m, h2, neg_lam):
+        # exp(-lam s) at the nodes m -/+ h2 x of a panel, x > 0, is
+        # exp(-lam m) divided or multiplied by exp(-lam h2 x): the nodes
+        # are antisymmetric, so 7 complex exponentials a panel, not 12.
+        # The positive nodes' half of z holds exp(-lam h2 x) until the
+        # division has read it.
+        z = np.empty(s.shape, dtype=complex)
+        pair = z[:, _HALF:]
+        np.multiply(neg_lam * h2, _NODES[_HALF:], out=pair)
+        np.exp(pair, out=pair)
+        mid = np.exp(neg_lam * m)
+        np.divide(mid, pair[:, ::-1], out=z[:, :_HALF])
+        pair *= mid
         z *= np.asarray(orbit(s.ravel())).reshape(s.shape)
         return z
 

@@ -2,7 +2,8 @@
 
 All numeric cells use 17-significant-digit decimals and LF line endings so
 identical inputs produce byte-identical files; the JSON summary lists the
-scenario parameters and one entry per executed check.
+scenario parameters, the run's configuration and one entry per executed
+check.
 """
 import json
 from typing import NamedTuple
@@ -36,10 +37,12 @@ def write_csv(path, header, rows):
             fh.write(",".join(format_cell(cell) for cell in row) + "\n")
 
 
-def summary_payload(params, checks):
-    """Summary document: {params: {q, beta, gamma}, checks: [...]}"""
+def summary_payload(params, config, checks):
+    """Summary document: {params: {q, beta, gamma}, config, checks: [...]};
+    config is the run's other settings as a dict of JSON scalars."""
     return {
         "params": {"q": params.q, "beta": params.beta, "gamma": params.gamma},
+        "config": config,
         "checks": [
             {"name": c.name, "pass": c.passed, "worst_slack": c.worst_slack,
              "details": c.details}

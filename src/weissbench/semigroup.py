@@ -227,9 +227,10 @@ def orbit_callable(sys, xi):
     neg_mu = -mu
 
     def orbit(t):
-        # t (-mu) is exactly -(t mu): one array, exponentiated in place
-        z = np.multiply.outer(np.asarray(t, dtype=float), neg_mu)
-        return np.exp(z, out=z) @ w
+        # (-mu) t is exactly -(mu t): one array, a row a mode, exponentiated
+        # in place; each mode is one long row for NumPy's inner loops
+        z = np.multiply.outer(neg_mu, np.asarray(t, dtype=float))
+        return w @ np.exp(z, out=z)
 
     return orbit
 
@@ -310,5 +311,6 @@ def log_grid(lo, hi, per_decade=64):
     if not 0.0 < lo < hi < math.inf:
         raise DomainError(f"log_grid needs 0 < lo < hi finite, got {lo}, {hi}")
     per_decade = _integer(per_decade, "per_decade", 1)
-    count = int(math.ceil(math.log10(hi / lo) * per_decade)) + 1
+    # hi / lo overflows for a subnormal lo; the difference of logs does not
+    count = int(math.ceil((math.log10(hi) - math.log10(lo)) * per_decade)) + 1
     return np.logspace(math.log10(lo), math.log10(hi), count)

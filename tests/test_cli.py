@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+import weissbench
 from weissbench import StepFunction, lorentz_norm
 from weissbench.cli import main
 from weissbench.errors import (EXIT_CHECK_FAILED, EXIT_CONFIG_INVALID,
@@ -53,9 +54,12 @@ def test_summary_payload_schema():
     class P:
         q, beta, gamma = 4.0, 0.375, 0.25
 
-    payload = summary_payload(P(), [check("c1", 1.0, "fine")])
-    assert set(payload) == {"params", "checks"}
+    config = {"tol": 1e-9, "tau": 0.5, "eps_min": 1e-6, "seed": 3,
+              "version": "9.9"}
+    payload = summary_payload(P(), config, [check("c1", 1.0, "fine")])
+    assert list(payload) == ["params", "config", "checks"]
     assert payload["params"] == {"q": 4.0, "beta": 0.375, "gamma": 0.25}
+    assert payload["config"] == config
     entry = payload["checks"][0]
     assert set(entry) == {"name", "pass", "worst_slack", "details"}
     assert entry["pass"] is True
@@ -132,6 +136,7 @@ def test_lorentz_norm_overflow_is_config_error(tmp_path, capsys):
     ["orbit", "--eps-min", "2.0"],
     ["weiss-scan", "--q", "1.0"],
     ["full-report", "--seed", "-1"],  # np.random.default_rng raised
+    ["counterexample", "--q", "2e16"],  # 1/q - 1 rounds to -1
 ])
 def test_invalid_configuration_exits_2(tmp_path, capsys, argv):
     code = main(argv + ["--output-dir", str(tmp_path)])
@@ -148,6 +153,8 @@ def read_summary(outdir):
 def assert_all_pass(outdir):
     payload = read_summary(outdir)
     assert set(payload["params"]) == {"q", "beta", "gamma"}
+    assert set(payload["config"]) == {"tol", "tau", "eps_min", "seed",
+                                      "version"}
     assert payload["checks"], "no checks recorded"
     for entry in payload["checks"]:
         assert set(entry) == {"name", "pass", "worst_slack", "details"}
@@ -228,6 +235,36 @@ def test_outputs_byte_identical_across_runs(tmp_path):
     assert names == sorted(p.name for p in d2.iterdir())
     for name in names:
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
+
+
+def test_summary_records_the_configuration(tmp_path):
+    # every setting but the output directory, and the package version,
+    # with the types JSON gives them; a rerun writes the same bytes
+    argv = ["orbit", "--tol", "1e-9", "--tau", "0.5", "--eps-min", "1e-6",
+            "--seed", "3"]
+    d1, d2 = tmp_path / "r1", tmp_path / "r2"
+    for d in (d1, d2):
+        assert main(argv + ["--output-dir", str(d)]) == EXIT_OK
+    assert (d1 / "summary.json").read_bytes() == \
+        (d2 / "summary.json").read_bytes()
+    config = read_summary(str(d1))["config"]
+    assert config == {"tol": 1e-9, "tau": 0.5, "eps_min": 1e-6, "seed": 3,
+                      "version": weissbench.__version__}
+    assert type(config["seed"]) is int and type(config["tol"]) is float
+
+
+@pytest.mark.parametrize("command", ["orbit", "counterexample"])
+def test_subnormal_eps_min_writes_a_summary(tmp_path, capsys, command):
+    # 1e-320 lies in (0, tau): the run's grids count decades as a difference
+    # of logs, since 1 / 1e-320 overflows; the checks may fail at such
+    # windows, but the run ends with its summary
+    code = main([command, "--eps-min", "1e-320", "--output-dir",
+                 str(tmp_path)])
+    assert code in (EXIT_OK, EXIT_CHECK_FAILED)
+    assert "Traceback" not in capsys.readouterr().err
+    payload = read_summary(str(tmp_path))
+    assert payload["config"]["eps_min"] == 1e-320
+    assert payload["checks"]
 
 
 def test_output_dir_from_environment(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 """The endpoint witness: coefficients, orbit bounds, norms, and the basis."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -46,7 +47,7 @@ def test_params_derivation():
         params = CounterexampleParams(q)
         assert params.q_conj == pytest.approx(q / (q - 1.0), rel=1e-15)
         assert 0.25 < params.beta < 0.5
-        assert abs(params.gamma - 1.0 / q) <= 4e-16
+        assert params.gamma == 1.0 / q
         assert params.gamma == pytest.approx(1.0 - 2.0 * params.beta,
                                              rel=1e-15)
 
@@ -54,6 +55,14 @@ def test_params_derivation():
 def test_params_domain():
     for bad in (2.0, 1.5, -3.0, math.inf):
         with pytest.raises(DomainError):
+            CounterexampleParams(bad)
+    # 1 - 2 beta would be 11% off gamma at q = 1e15 and 0 from 2^53; 1/q
+    # is exact to rounding, and q is refused once 1/q - 1 rounds to -1
+    for q in (1e12, 1e15, 1e16, 2.0**54 - 2.0):
+        assert CounterexampleParams(q).gamma == 1.0 / q
+        assert CounterexampleParams(q).gamma - 1.0 > -1.0
+    for bad in (2.0**54, 1e17, 1e300):
+        with pytest.raises(DomainError, match=re.escape(f"got {bad!r}")):
             CounterexampleParams(bad)
 
 
@@ -263,6 +272,13 @@ def test_envelope_norm_closed_form(p4):
         envelope_norm_q(0.5, 0.5, p4)
     with pytest.raises(DomainError):
         envelope_norm_q(0.1, 1.5, p4)
+    # subnormal endpoints, whose reciprocals overflow: log(1/x) = -log(x)
+    for eps, tau in ((1e-320, 1.0), (1e-320, 1e-310)):
+        want = math.log((1.0 - math.log(eps)) / (1.0 - math.log(tau)))
+        assert envelope_norm_q(eps, tau, p4) == pytest.approx(
+            want ** 0.25, rel=1e-15)
+    for x in (1e-2, 1e-4, 0.1, 0.5, 1.0, 1e-300):
+        assert ce.log_inverse(x) == math.log(1.0 / x)
 
 
 def test_state_norm_closed_form_and_quadrature(p4):

@@ -85,7 +85,8 @@ def test_pairwise_sum_stays_under_the_roundoff_floor():
             singular_end(-0.75, float(n), math.pi, math.pi / n)[0])
     lam = 1.0 + 60000.0j
     cplx = (lambda e: gauss_contributions(
-        lambda s: np.exp(-lam * s) / np.sqrt(1.0 + s), e, NODES, WEIGHTS),
+        lambda s, m, h2: np.exp(-lam * s) / np.sqrt(1.0 + s), e, NODES,
+        WEIGHTS),
             _graded_mesh(10.0, math.pi / lam.imag, 1e-12))
     for contributions, edges in (real, cplx):
         ((fine,), _, (abssum,)), c = fine_panels(contributions, edges)

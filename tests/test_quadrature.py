@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from oracle_values import GAMMA_REF, POWCOS_REF
-from weissbench import (CounterexampleParams, DomainError, QuadratureSpec,
+from weissbench import (CoefficientVector, CounterexampleParams,
+                        DiagonalSystem, DomainError, QuadratureSpec,
                         ToleranceNotMet, gamma_function, laplace_quadrature,
                         singular_oscillatory_integral, witness_system)
 from weissbench import quadrature
@@ -196,6 +197,32 @@ def test_laplace_square_root_singularity():
                                      T=40.0 / lam.real, decay=(1.0, 0.5))
             want = cmath.sqrt(math.pi / lam)
             assert abs(got - want) <= max(tol, 1e-8) * abs(want)
+
+
+def test_laplace_three_mode_orbit_closed_form():
+    # a seeded 3-mode orbit sum_k w_k e^{-mu_k t} has the Laplace transform
+    # sum_k w_k (1 - e^{-(lam + mu_k) T}) / (lam + mu_k) over (0, T); the
+    # nodes' exponentials come in pairs around each panel midpoint, so this
+    # covers real lam, small |lam| on both sides of the real axis, and a
+    # high frequency. The scale is the gate's, max(|value|, 0.01 abs sum):
+    # at 1 + 1e4 j the value cancels to 1e-4 of the orbit's L1 norm
+    rng = np.random.default_rng(11)
+    mu = np.cumsum(rng.uniform(0.3, 3.0, 3))
+    c, x = rng.uniform(-2.0, 2.0, 3), rng.uniform(-2.0, 2.0, 3)
+    system = DiagonalSystem(lambda k: mu[k], lambda k: c[k], n_active=3)
+    xi = CoefficientVector(x)
+    orbit, decay = orbit_callable(system, xi), orbit_decay_bound(system, xi,
+                                                                  0.0)
+    modes = list(zip((x * c).tolist(), mu.tolist()))
+    l1 = math.fsum(abs(w) / m for w, m in modes)
+    lams = (0.5, 3.0, 1e-2 * cmath.exp(1.2j), 1e-2 * cmath.exp(-1.2j),
+            1.0 + 1e4j)
+    for T in (40.0 / mu[0], 2.0):
+        for lam in map(complex, lams):
+            got = laplace_quadrature(orbit, lam, T=T, decay=decay)
+            want = sum(w * (1.0 - cmath.exp(-(lam + m) * T)) / (lam + m)
+                       for w, m in modes)
+            assert abs(got - want) <= 1e-12 * max(abs(want), 0.01 * l1)
 
 
 def test_laplace_linearity():
@@ -395,6 +422,20 @@ def test_runs_split_every_few_meshes_bit_for_bit(monkeypatch):
     passes.clear()
     value, est = powcos_quadrature(a, np.zeros(0), 1.0, L)
     assert value.shape == est.shape == (0,) and not passes
+
+
+def test_batched_estimates_equal_one_mesh_estimates():
+    # three zero-width panels end every run, so no wanted row of either
+    # pass falls in BLAS's tail: the real integrand's estimates, not only
+    # its values, are the one-shift ones bit for bit
+    shifts = 2.0 * math.pi * np.arange(60)
+    for a in (-0.75, -0.25, 0.5):
+        for freq in (1.0, 5.0):
+            value, est = powcos_quadrature(a, shifts, freq, 2.0 * math.pi)
+            singles = [powcos_quadrature(a, c, freq, 2.0 * math.pi)
+                       for c in shifts.tolist()]
+            assert value.tolist() == [v for v, _ in singles]
+            assert est.tolist() == [e for _, e in singles]
 
 
 def test_laplace_point_and_shape_checks():

@@ -125,10 +125,11 @@ def test_orbit_callable_matches_observation():
         obs = orbit_observation(sys_, xi, t, 1e-14)
         assert orbit(np.array([t]))[0] == pytest.approx(float(obs.value),
                                                         rel=1e-12)
-    # t (-mu) is exactly -(t mu), so the in-place exponential changes no bit
+    # mode-major: (-mu) t is exactly -(mu t), so the in-place exponential
+    # changes no bit, and the weights meet the modes as rows
     t = log_grid(1e-6, 10.0)
-    assert np.array_equal(orbit(t), np.exp(-np.outer(t, sys_.mu))
-                          @ (xi.values * sys_.c))
+    assert np.array_equal(orbit(t), (xi.values * sys_.c)
+                          @ np.exp(-np.outer(sys_.mu, t)))
 
 
 def test_orbit_decay_bound():
@@ -292,6 +293,11 @@ def test_log_grid_spacing():
     assert np.allclose(grid[1:] / grid[:-1], 10.0 ** (1.0 / 64.0), rtol=1e-13)
     # a window that is not a whole number of decades rounds the count up
     assert log_grid(0.3, 0.5, per_decade=100).size == 24
+    # a subnormal lo: hi / lo overflows, the difference of logs does not
+    grid = log_grid(1e-320, 1.0)  # the subnormal 1e-320 is 10^-320.0000048
+    assert grid.size == 320 * 64 + 2
+    assert (grid[0], grid[-1]) == (1e-320, 1.0)
+    assert np.all(np.diff(grid) > 0.0)
 # ---------------------------------------------------------- batch contract
 @pytest.fixture(scope="module")
 def witness4():
