@@ -307,7 +307,7 @@ def _suite_counterexample(args, outdir):
     checks.append(check("strong-norm-monotone", growth,
                         "q-th power of the (2,q) norm grows at every "
                         "endpoint step"))
-    reg = np.array([math.log(1.0 + ce.log_inverse(e)) for e in eps_list])
+    reg = np.array([math.log(1.0 - math.log(e)) for e in eps_list])
     env_slope = float(np.polyfit(reg, profile[:, 1] ** params.q, 1)[0])
     with np.errstate(over="ignore"):
         strong_q = profile[:, 2] ** params.q

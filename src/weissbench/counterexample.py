@@ -31,7 +31,6 @@ __all__ = [
     "xi_asymptotic",
     "xi_period_decomposition",
     "envelope",
-    "log_inverse",
     "envelope_norm_q",
     "state_norm",
     "WitnessSystem",
@@ -202,13 +201,6 @@ def envelope(t, params):
     return float(value) if value.ndim == 0 else value
 
 
-def log_inverse(x):
-    """log(1/x) for x > 0: math.log(1.0 / x) where 1/x is finite, and
-    -math.log(x) for a subnormal x, whose reciprocal overflows."""
-    inverse = 1.0 / x
-    return math.log(inverse) if inverse < math.inf else -math.log(x)
-
-
 def envelope_norm_q(eps, tau, params):
     """Closed-form Lorentz (2, q) norm of the envelope over (eps, tau).
 
@@ -218,7 +210,8 @@ def envelope_norm_q(eps, tau, params):
     """
     if not 0.0 < eps < tau <= 1.0:
         raise DomainError("need 0 < eps < tau <= 1")
-    ratio = (1.0 + log_inverse(eps)) / (1.0 + log_inverse(tau))
+    # -log(x), not log(1/x): 1/x overflows for a subnormal x
+    ratio = (1.0 - math.log(eps)) / (1.0 - math.log(tau))
     return math.log(ratio) ** (1.0 / params.q)
 
 

@@ -260,7 +260,11 @@ def laplace_quadrature(orbit, lam, spec=DEFAULT_SPEC, *, T, decay):
         # exp(-lam m) divided or multiplied by exp(-lam h2 x): the nodes
         # are antisymmetric, so 7 complex exponentials a panel, not 12.
         # The positive nodes' half of z holds exp(-lam h2 x) until the
-        # division has read it.
+        # division has read it. A wanted panel has Re(lam) h2 <= 1/4 or
+        # so; a panel of negative width is a discarded join from one mesh's
+        # end back to the next one's start, where -lam h2 x may overflow,
+        # so it takes lam = 0.
+        neg_lam = np.where(h2 < 0.0, 0.0, neg_lam)
         z = np.empty(s.shape, dtype=complex)
         pair = z[:, _HALF:]
         np.multiply(neg_lam * h2, _NODES[_HALF:], out=pair)

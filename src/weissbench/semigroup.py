@@ -227,9 +227,12 @@ def orbit_callable(sys, xi):
     neg_mu = -mu
 
     def orbit(t):
+        t = np.asarray(t, dtype=float)
+        if t.ndim > 1:  # elementwise: the same values as t flattened
+            return orbit(t.reshape(-1)).reshape(t.shape)
         # (-mu) t is exactly -(mu t): one array, a row a mode, exponentiated
         # in place; each mode is one long row for NumPy's inner loops
-        z = np.multiply.outer(neg_mu, np.asarray(t, dtype=float))
+        z = np.multiply.outer(neg_mu, t)
         return w @ np.exp(z, out=z)
 
     return orbit

@@ -277,8 +277,6 @@ def test_envelope_norm_closed_form(p4):
         want = math.log((1.0 - math.log(eps)) / (1.0 - math.log(tau)))
         assert envelope_norm_q(eps, tau, p4) == pytest.approx(
             want ** 0.25, rel=1e-15)
-    for x in (1e-2, 1e-4, 0.1, 0.5, 1.0, 1e-300):
-        assert ce.log_inverse(x) == math.log(1.0 / x)
 
 
 def test_state_norm_closed_form_and_quadrature(p4):

@@ -203,9 +203,8 @@ def test_laplace_three_mode_orbit_closed_form():
     # a seeded 3-mode orbit sum_k w_k e^{-mu_k t} has the Laplace transform
     # sum_k w_k (1 - e^{-(lam + mu_k) T}) / (lam + mu_k) over (0, T); the
     # nodes' exponentials come in pairs around each panel midpoint, so this
-    # covers real lam, small |lam| on both sides of the real axis, and a
-    # high frequency. The scale is the gate's, max(|value|, 0.01 abs sum):
-    # at 1 + 1e4 j the value cancels to 1e-4 of the orbit's L1 norm
+    # covers real lam and small |lam| on both sides of the real axis, each
+    # within 1e-12 of |value|, and a high frequency
     rng = np.random.default_rng(11)
     mu = np.cumsum(rng.uniform(0.3, 3.0, 3))
     c, x = rng.uniform(-2.0, 2.0, 3), rng.uniform(-2.0, 2.0, 3)
@@ -215,14 +214,27 @@ def test_laplace_three_mode_orbit_closed_form():
                                                                   0.0)
     modes = list(zip((x * c).tolist(), mu.tolist()))
     l1 = math.fsum(abs(w) / m for w, m in modes)
-    lams = (0.5, 3.0, 1e-2 * cmath.exp(1.2j), 1e-2 * cmath.exp(-1.2j),
-            1.0 + 1e4j)
+
+    def error(lam, T):
+        got = laplace_quadrature(orbit, lam, T=T, decay=decay)
+        want = sum(w * (1.0 - cmath.exp(-(lam + m) * T)) / (lam + m)
+                   for w, m in modes)
+        return abs(got - want), abs(want)
+
+    lams = (0.5, 3.0, 1e-2 * cmath.exp(1.2j), 1e-2 * cmath.exp(-1.2j))
     for T in (40.0 / mu[0], 2.0):
         for lam in map(complex, lams):
-            got = laplace_quadrature(orbit, lam, T=T, decay=decay)
-            want = sum(w * (1.0 - cmath.exp(-(lam + m) * T)) / (lam + m)
-                       for w, m in modes)
-            assert abs(got - want) <= 1e-12 * max(abs(want), 0.01 * l1)
+            err, size = error(lam, T)
+            assert err <= 1e-12 * size
+        # at 1 + 1e4 j the value cancels to 1e-4 of the orbit's L1 norm, so
+        # the rounding of each node's phase lam s weighs 1e4 times more
+        # against it: one exponential a node also missed 1e-12 of |value|
+        # here (2.3e-12 and 1.0e-12 at these T, the paired form 2.9e-12 and
+        # 4.7e-12). The bound is on the gate's scale, 0.01 L1, and the
+        # relative error stays below 1e-11
+        err, size = error(1.0 + 1e4j, T)
+        assert size < 2e-4 * l1
+        assert err <= 1e-12 * 0.01 * l1 and err <= 1e-11 * size
 
 
 def test_laplace_linearity():
@@ -372,6 +384,25 @@ def test_laplace_batch_matches_one_point_calls():
                                          np.broadcast_to(T, points.shape))]
             assert batch.shape == points.shape
             assert same_bits(batch, singles)
+
+
+def test_laplace_batch_with_large_re_lambda_t_stays_finite():
+    # the discarded panel joining two meshes runs from one mesh's T back to
+    # the next one's h, about T/2 wide: with Re(lam) T near 2,000 the split
+    # exponential exp(-lam h2 x) would overflow there, and 0 * inf give nan.
+    # Overflow and invalid operations raise here, as RuntimeWarnings do
+    # under the suite's filter; the batch equals one-point calls bit for bit
+    rng = np.random.default_rng(5)
+    system, xi = _random_finite_system(rng)
+    orbit, decay = orbit_callable(system, xi), orbit_decay_bound(system, xi,
+                                                                  0.0)
+    points = np.array([200.0, 1.0, 150.0 + 40.0j, 0.5 - 3.0j])
+    for T in (10.0, 40.0):
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            batch = laplace_quadrature(orbit, points, T=T, decay=decay)
+            singles = [laplace_quadrature(orbit, lam, T=T, decay=decay)
+                       for lam in points.tolist()]
+        assert same_bits(batch, singles)
 
 
 def test_runs_split_every_few_meshes_bit_for_bit(monkeypatch):

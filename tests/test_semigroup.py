@@ -130,6 +130,14 @@ def test_orbit_callable_matches_observation():
     t = log_grid(1e-6, 10.0)
     assert np.array_equal(orbit(t), (xi.values * sys_.c)
                           @ np.exp(-np.outer(sys_.mu, t)))
+    # elementwise for any shape of t: a (modes, b) array, whose first axis
+    # a row-a-mode product could mistake for the modes, and a 0-d one
+    for shape in ((16, 8), (4, 2, 16)):
+        grid = t[:128].reshape(shape)
+        assert orbit(grid).shape == shape
+        assert np.array_equal(orbit(grid), orbit(t[:128]).reshape(shape))
+    assert orbit(np.float64(0.5)).shape == ()
+    assert orbit(0.5) == pytest.approx(orbit(np.array([0.5]))[0], rel=1e-15)
 
 
 def test_orbit_decay_bound():
