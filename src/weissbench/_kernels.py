@@ -3,10 +3,10 @@
 gauss_contributions evaluates, per panel, (h/2) * sum_i w_i * f(s_i) on the
 Gauss nodes s_i = m + (h/2) x_i of a panel with midpoint m, for an
 elementwise integrand f, in passes of at most _BLOCK panels so temporaries
-stay bounded on any mesh; powcos_panels does so for (shift + s)^a *
-cos(freq * s), with one shift or one per panel. Both return the per-panel
-array and sum nothing: quadrature._halving_estimate is the one reducer of
-every route.
+stay bounded on any mesh; powcos_panels does so for x^g / x * cos(freq s),
+x = shift + s, with one shift or one per panel: x^(g-1) without rounding
+the exponent g - 1. Both return the per-panel array and sum nothing:
+quadrature._halving_estimate is the one reducer of every route.
 """
 import numpy as np
 
@@ -35,8 +35,8 @@ def gauss_contributions(f, edges, nodes, weights, *panel_args):
     return out
 
 
-def powcos_panels(a, shift, freq, edges, nodes, weights):
+def powcos_panels(g, shift, freq, edges, nodes, weights):
     return gauss_contributions(
-        lambda s, m, h2, c: np.power(c + s, a) * np.cos(freq * s),
+        lambda s, m, h2, c: np.power(c + s, g) / (c + s) * np.cos(freq * s),
         edges, nodes, weights,
         np.broadcast_to(shift, max(edges.size - 1, 0)))

@@ -59,12 +59,20 @@ class CounterexampleParams:
         self.beta = 1.0 / (2.0 * self.q_conj)
         self.gamma = 1.0 / q  # equals 1 - 2 beta, without its cancellation
         if self.gamma - 1.0 == -1.0:  # every q >= 2^54
-            raise DomainError(f"q must lie below 2^54, got {q!r}: the "
-                              "witness exponent 1/q - 1 rounds to -1")
+            raise DomainError(f"q must lie below 2^54, got {q!r}: the range "
+                              "the suites are run on; the witness values "
+                              "grow like q and overflow far above it")
 
     def __repr__(self):
         return (f"CounterexampleParams(q={self.q!r}, beta={self.beta!r}, "
                 f"gamma={self.gamma!r})")
+
+
+def _built_for(params, built, name):
+    """Raise DomainError unless built (an XiTable or a GramCache) was built
+    for params.q."""
+    if built.params.q != params.q:
+        raise DomainError(f"{name} was built for another q")
 
 
 class BasisIndexMap:
@@ -110,25 +118,26 @@ def xi_asymptotic(n, params):
     return n ** (-g) * math.cos(0.5 * math.pi * g) * gamma_function(g) / math.pi
 
 
-def period_table(a, kmax, spec=DEFAULT_SPEC):
-    """(F, estimate) with F[k-1] = integral of u^a cos u over (0, k pi).
+def period_table(g, kmax, spec=DEFAULT_SPEC):
+    """(F, estimate) with F[k-1] = integral of u^(g-1) cos u over (0, k pi).
 
-    For k = 1..kmax and a in (-1, 1], from one mesh: singular_end's graded
+    For k = 1..kmax and g in (0, 2], from one mesh: singular_end's graded
     first period (cap pi/2; its head and bound join period 0), then two
     half-period panels a period, each period checked against the halving.
     F is the cumulative sum; estimate[k-1] bounds |F[k-1] - F(k pi)| by the
     estimates of the periods below k pi plus 64 eps times the running sum of
     |increments| and eps times the running sum of |F|, which cover the
-    cancellation of increments growing like k^a into F(k pi) ~ k^(a-1).
+    cancellation of increments growing like k^(g-1) into F(k pi) ~ k^(g-2).
     """
     kmax = _integer(kmax, "kmax", 1)
-    if not -1.0 < a <= 1.0:
-        raise DomainError(f"need a in (-1, 1], got {a}")
-    first, head, bound = singular_end(a, 1.0, math.pi, 0.5 * math.pi, spec)
+    if not 0.0 < g <= 2.0:
+        raise DomainError(f"need g in (0, 2], got {g}")
+    first, head, bound = singular_end(g, 1.0, math.pi, 0.5 * math.pi, spec)
     edges = np.append(first, 0.5 * math.pi * np.arange(3, 2 * kmax + 1))
     increments, local, _ = _halving_estimate(
-        lambda e: powcos_panels(a, 0.0, 1.0, e, _NODES, _WEIGHTS), edges,
+        lambda e: powcos_panels(g, 0.0, 1.0, e, _NODES, _WEIGHTS), edges,
         np.r_[0, first.size - 1:edges.size - 1:2])  # a group per period
+    # the head's rounding: 64 eps |head| <= 64 eps (|increments[0]| + abs sum)
     increments[0] += head
     local[0] += bound
     values = np.cumsum(increments)
@@ -153,7 +162,7 @@ class XiTable:
     def __init__(self, params, n_max, spec=DEFAULT_SPEC):
         n_max = _integer(n_max, "n_max", 1)
         g = params.gamma
-        partial, est = period_table(g - 1.0, n_max, spec)
+        partial, est = period_table(g, n_max, spec)
         n = np.arange(1, n_max + 1, dtype=float)
         values = np.empty(n_max + 1)
         values[0] = math.pi ** (g - 1.0) / g
@@ -188,8 +197,8 @@ def xi_period_decomposition(n, params, spec=DEFAULT_SPEC):
     has the closed singular end.
     """
     n = _integer(n, "n", 1)
-    return powcos_quadrature(params.gamma - 1.0, 2.0 * math.pi * np.arange(n),
-                             1.0, 2.0 * math.pi, spec)[0]
+    return powcos_quadrature(params.gamma, 2.0 * math.pi * np.arange(n), 1.0,
+                             2.0 * math.pi, spec)[0]
 
 
 def envelope(t, params):
@@ -261,8 +270,7 @@ def divergence_profile(params, eps_list, tau=1.0, witness=None,
     per_decade = _integer(per_decade, "per_decade", 64)
     if witness is None:
         witness = witness_system(params, spec=spec)
-    elif witness.table.params.q != params.q:
-        raise DomainError("witness was built for another q")
+    _built_for(params, witness.table, "witness")
     orbit = orbit_callable(witness.system, witness.xi)
     out = np.empty((eps_arr.size, 4))
     for i, eps in enumerate(eps_arr):
@@ -290,7 +298,8 @@ def orbit_lower_bound_check(params, n_range, samples_per_interval,
     The bound keeps only the k = n mode, whose exponent stays above e^{-1}
     there; nonnegativity of every other term makes it a lower bound. Slack
     below -tail_tolerance raises BoundViolated naming the offending (n, t).
-    A given witness needs more than n_hi active modes.
+    A given witness must be built for params.q, with more than n_hi
+    active modes.
     """
     n_lo, n_hi = (_integer(n_range[i], "n_range", 0) for i in (0, 1))
     if not n_lo <= n_hi:
@@ -299,7 +308,8 @@ def orbit_lower_bound_check(params, n_range, samples_per_interval,
     if witness is None:
         witness = witness_system(params, n_modes=max(2 * (n_hi + 1), 60),
                                  spec=spec)
-    elif n_hi >= witness.system.n_active:
+    _built_for(params, witness.table, "witness")
+    if n_hi >= witness.system.n_active:
         raise DomainError(f"n_hi={n_hi} needs a witness with more than "
                           f"{witness.system.n_active} active modes")
     if np.any(witness.xi.values < 0.0):
@@ -351,7 +361,7 @@ class GramCache:
         n_basis = _integer(n_basis, "n_basis", 1)
         dmax = n_basis - 1  # n frequencies span n lattice points
         g = 2.0 * params.beta + 1.0
-        partial, est = period_table(g - 1.0, max(dmax, 1), spec)
+        partial, est = period_table(g, max(dmax, 1), spec)
         scale = np.arange(1, dmax + 1, dtype=float) ** (-g)
         value = scale * partial[:dmax]
         est = scale * est[:dmax]
@@ -399,7 +409,7 @@ def bessel_failure_witness(params, N_list, spec=DEFAULT_SPEC, gram=None,
 
     The coefficient column grows like N^(1 - 2/q) while the quadratic form
     converges to the squared state norm: their ratio diverges, refuting any
-    lower frame constant.
+    lower frame constant. A given gram or table must be built for params.q.
     """
     sizes = [_integer(N, "N", 1) for N in N_list]
     if not sizes or any(b <= a for a, b in zip(sizes, sizes[1:])):
@@ -409,6 +419,8 @@ def bessel_failure_witness(params, N_list, spec=DEFAULT_SPEC, gram=None,
         gram = GramCache(params, n_max, spec)
     if table is None:
         table = XiTable(params, (n_max + 1) // 2 + 1, spec)
+    _built_for(params, gram, "gram")
+    _built_for(params, table, "table")
     nu = np.abs(BasisIndexMap.frequencies(n_max))
     xi = table.values[nu]
     out = np.empty((len(sizes), 3))
@@ -450,11 +462,13 @@ def hilbertian_constant_estimate(params, trials, N, seed=20259,
 
     Coefficients are uniform on [-1, 1] from the documented linear
     generator; the statistic lower-bounds the upper frame constant and
-    stays bounded as N grows because the basis is Hilbertian.
+    stays bounded as N grows because the basis is Hilbertian. A given gram
+    must be built for params.q.
     """
     trials = _integer(trials, "trials", 1)
     N = _integer(N, "N", 1)
     if gram is None:
         gram = GramCache(params, N, spec)
+    _built_for(params, gram, "gram")
     draws = 2.0 * _lcg_uniform(seed, trials * N).reshape(trials, N) - 1.0
     return max(math.sqrt(gram.quadratic_form(a) / (a @ a)) for a in draws)

@@ -140,12 +140,11 @@ def _mesh_estimates(contributions, meshes, values):
     return out
 
 
-def singular_end(a, freq, L, cap, spec=DEFAULT_SPEC):
+def singular_end(g, freq, L, cap, spec=DEFAULT_SPEC):
     """(edges, head, bound): _graded_mesh of [h, L]; over [0, h] the integral
-    of s^a cos(freq s) is head = h^g/g (g = a + 1) within bound = freq^2
+    of s^(g-1) cos(freq s) is head = h^g/g within bound = freq^2
     h^(g+2)/(2 (g+2)), as cos x = 1 - 2 sin^2(x/2); bound <= 1e-4 tol cap^g/g.
     """
-    g = a + 1.0
     target = 2e-4 * (g + 2.0) * spec.relative_tolerance * cap**g / g
     hmin = min(cap, (target / freq**2) ** (1.0 / (g + 2.0))) if freq else cap
     edges = _graded_mesh(L, cap, hmin)
@@ -153,25 +152,27 @@ def singular_end(a, freq, L, cap, spec=DEFAULT_SPEC):
     return edges, h**g / g, freq**2 * h ** (g + 2.0) / (2.0 * (g + 2.0))
 
 
-def powcos_quadrature(a, shift, freq, L, spec=DEFAULT_SPEC):
-    """(value, error estimate) for integral of (shift+s)^a cos(freq s) on
-    [0, L], at one shift or, as two arrays, over a 1-d array of them.
+def powcos_quadrature(g, shift, freq, L, spec=DEFAULT_SPEC):
+    """(value, error estimate) for integral of (shift+s)^(g-1) cos(freq s)
+    on [0, L], at one shift or, as two arrays, over a 1-d array of them.
 
     Uniform panels are capped at half a period pi/freq; shift 0 takes
     singular_end's mesh, whose head joins the value and its bound the
-    estimate. No tolerance gate is applied; callers compare against their
-    own scale.
+    estimate, with 4 eps |head| for the rounding of h^g/g and of its
+    addition: at small g the head, about 1/g, dwarfs the panels' abs sum.
+    No tolerance gate is applied; callers compare against their own scale.
     """
     shifts = np.asarray(shift, dtype=float)
     zero = shifts.reshape(-1) == 0.0
     cap = min(L / 2.0, math.pi / freq) if freq > 0.0 else L / 2.0
-    end, head, bound = (singular_end(a, freq, L, cap, spec) if zero.any()
+    end, head, bound = (singular_end(g, freq, L, cap, spec) if zero.any()
                         else (None, 0.0, 0.0))
     plain = None if zero.all() else _graded_mesh(L, cap, None)
     fine, est, _ = _mesh_estimates(
-        lambda e, c: powcos_panels(a, c, freq, e, _NODES, _WEIGHTS),
+        lambda e, c: powcos_panels(g, c, freq, e, _NODES, _WEIGHTS),
         (end if z else plain for z in zero.tolist()), shifts.reshape(-1))
-    value, est = np.array(fine) + head * zero, np.array(est) + bound * zero
+    value = np.array(fine) + head * zero
+    est = np.array(est) + (bound + 4.0 * _EPS * head) * zero
     return (value.item(), est.item()) if shifts.ndim == 0 else (value, est)
 
 
@@ -192,12 +193,8 @@ def singular_oscillatory_detail(gamma_exp, n, spec=DEFAULT_SPEC):
         raise DomainError(f"gamma_exp must lie in (0, 2], got {gamma_exp}")
     if not (math.isfinite(n) and n == int(n) and n >= 0):
         raise DomainError(f"n must be a nonnegative integer, got {n}")
-    g, a = gamma_exp, gamma_exp - 1.0
-    value, est = powcos_quadrature(a, 0.0, float(n), math.pi, spec)
-    # |a + 1 - g| times twice the integral of s^(g-1) |ln s| over (0, pi)
-    est += 2.0 * abs(math.fsum([a, 1.0, -g])) / g**2 * (
-        math.pi**g * (g * math.log(math.pi) - 1.0) + 2.0)
-    scale = math.pi**g / g
+    value, est = powcos_quadrature(gamma_exp, 0.0, float(n), math.pi, spec)
+    scale = math.pi**gamma_exp / gamma_exp
     if est > spec.relative_tolerance * max(abs(value), 0.01 * scale):
         raise ToleranceNotMet(
             f"estimate {est:.3e} exceeds tolerance for gamma_exp={gamma_exp}, "

@@ -255,13 +255,10 @@ def weiss_quotient(sys, xi, x_norm, lam, tol=1e-12):
     """Re(lam)^(1/2) |resolvent observation| / x_norm, at lam or over it."""
     if not x_norm > 0.0:
         raise DomainError("x_norm must be positive")
-    values = np.atleast_1d(resolvent_observation(sys, xi, lam, tol).value)
+    value = resolvent_observation(sys, xi, lam, tol).value
     lam = np.asarray(lam, dtype=complex)  # validated by the call above
-    # Python's complex modulus: np.abs differs from it in the last bit
-    quotient = [math.sqrt(point.real) * abs(value) / x_norm
-                for point, value in zip(lam.reshape(-1).tolist(),
-                                        values.tolist())]
-    return quotient[0] if lam.ndim == 0 else np.array(quotient)
+    quotient = np.sqrt(lam.real) * np.abs(value) / x_norm
+    return float(quotient) if lam.ndim == 0 else quotient
 
 
 def weiss_norm_orthonormal(sys, lam, tol):

@@ -136,7 +136,7 @@ def test_lorentz_norm_overflow_is_config_error(tmp_path, capsys):
     ["orbit", "--eps-min", "2.0"],
     ["weiss-scan", "--q", "1.0"],
     ["full-report", "--seed", "-1"],  # np.random.default_rng raised
-    ["counterexample", "--q", "2e16"],  # 1/q - 1 rounds to -1
+    ["counterexample", "--q", "2e16"],  # q >= 2^54, outside the domain
 ])
 def test_invalid_configuration_exits_2(tmp_path, capsys, argv):
     code = main(argv + ["--output-dir", str(tmp_path)])
@@ -309,11 +309,15 @@ def test_suite_error_becomes_failed_check(tmp_path, capsys, monkeypatch):
 
 
 def test_counterexample_suite_small_gamma(tmp_path):
-    # gamma = 1/30: the singular head of s^(gamma-1) is taken in closed
-    # form, so every check of the suite is certified
-    code = main(["counterexample", "--q", "30", "--output-dir", str(tmp_path)])
-    assert code == EXIT_OK
-    assert_all_pass(str(tmp_path))
+    # gamma = 1/q: the singular head of s^(gamma-1) is taken in closed
+    # form, and gamma reaches the quadrature as itself, not as the rounded
+    # gamma - 1, so every check of the suite is certified down to 1e-12
+    for q in ("30", "1e9", "1e12"):
+        out = str(tmp_path / q)
+        assert main(["counterexample", "--q", q, "--output-dir", out]) \
+            == EXIT_OK
+        assert_all_pass(out)
+        assert read_summary(out)["params"]["q"] == float(q)
 
 
 def test_counterexample_huge_q_strong_norm_monotone(tmp_path):

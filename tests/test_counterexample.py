@@ -57,7 +57,8 @@ def test_params_domain():
         with pytest.raises(DomainError):
             CounterexampleParams(bad)
     # 1 - 2 beta would be 11% off gamma at q = 1e15 and 0 from 2^53; 1/q
-    # is exact to rounding, and q is refused once 1/q - 1 rounds to -1
+    # is exact to rounding, and the domain ends where 1/q - 1 rounds to -1,
+    # the end of the range the suites have been run on
     for q in (1e12, 1e15, 1e16, 2.0**54 - 2.0):
         assert CounterexampleParams(q).gamma == 1.0 / q
         assert CounterexampleParams(q).gamma - 1.0 > -1.0
@@ -111,8 +112,8 @@ NAN, INF = math.nan, math.inf
     lambda p, g, t: xi_period_decomposition(INF, p),
     lambda p, g, t: XiTable(p, NAN),
     lambda p, g, t: XiTable(p, INF),
-    lambda p, g, t: period_table(-0.75, NAN),
-    lambda p, g, t: period_table(-0.75, -INF),
+    lambda p, g, t: period_table(0.25, NAN),
+    lambda p, g, t: period_table(0.25, -INF),
     lambda p, g, t: GramCache(p, NAN),
     lambda p, g, t: GramCache(p, INF),
     lambda p, g, t: xi_asymptotic(NAN, p),
@@ -165,27 +166,30 @@ def test_xi_table_smallest_sizes(p4):
 
 
 def test_period_table_estimates_cover_oracle_errors(p4):
-    # xi: F(n pi) = pi n^gamma xi(n) with a = gamma - 1; the table's single
+    # xi: F(n pi) = pi n^gamma xi(n) with g = gamma; the table's single
     # estimate bounds every entry's absolute error
     table = XiTable(p4, 10_000)
     for n in (1000, 10000):
         want = POWCOS_REF[(0.25, n)] / math.pi
         assert abs(table[n] - want) <= table.estimate
-    # Gram: F(d pi) = d^g int_0^pi s^(g-1) cos(d s) ds with a = g - 1
+    # Gram: F(d pi) = d^g int_0^pi s^(g-1) cos(d s) ds
     g = 2.0 * p4.beta + 1.0
-    values, est = period_table(g - 1.0, 2047)
+    values, est = period_table(g, 2047)
     assert np.all(np.diff(est) > 0.0)
     for d in (1000, 1599, 2047):
         want = d**g * POWCOS_REF[(1.75, d)]
         assert abs(values[d - 1] - want) <= est[d - 1]
     with pytest.raises(DomainError):
-        period_table(g - 1.0, 0)
+        period_table(g, 0)
+    for bad in (0.0, -0.5, 2.5):
+        with pytest.raises(DomainError):
+            period_table(bad, 4)
 
 
 def test_period_table_is_not_capped_by_the_panel_budget():
     # only the first period is graded; the 4 * 150_000 halved panels of the
     # tail lie far beyond MAX_PANELS
-    values, est = period_table(-0.75, 150_000)
+    values, est = period_table(0.25, 150_000)
     assert values.size == est.size == 150_000
     assert np.all(np.isfinite(values)) and np.all(np.diff(est) > 0.0)
     assert est[-1] < 1e-9
@@ -225,8 +229,7 @@ def test_period_decomposition_against_reference(p4):
 def test_period_decomposition_equals_one_period_calls(q):
     # the batched pass returns each period's powcos_quadrature value exactly
     params = CounterexampleParams(q)
-    a = params.gamma - 1.0
-    want = np.array([powcos_quadrature(a, 2.0 * math.pi * l, 1.0,
+    want = np.array([powcos_quadrature(params.gamma, 2.0 * math.pi * l, 1.0,
                                        2.0 * math.pi)[0]
                      for l in range(1001)])
     for n in (1, 2, 300, 1001):
@@ -335,12 +338,12 @@ def test_orbit_lower_bound_validation(p4):
         orbit_lower_bound_check(p4, (0, 70), 2, witness=witness_system(p4))
 
 
-def test_orbit_lower_bound_violation_detected(p4):
+def test_orbit_lower_bound_violation_detected(p4, table4):
     # a witness whose observation weights are far too small cannot clear the
     # bound built from its own coefficients
     weak = DiagonalSystem(lambda k: 4.0**k, lambda k: 0.01 if k == 0 else 0.0,
                           n_active=2)
-    wit = WitnessSystem(weak, CoefficientVector([1.0, 1.0]), 1.0, None)
+    wit = WitnessSystem(weak, CoefficientVector([1.0, 1.0]), 1.0, table4)
     with pytest.raises(BoundViolated) as info:
         orbit_lower_bound_check(p4, (0, 0), 2, witness=wit)
     # the first violating sample in (n, t) order: t = 4^-1 at n = 0
@@ -366,6 +369,24 @@ def test_divergence_profile_columns(p4):
     with pytest.raises(DomainError, match="another q"):
         divergence_profile(p4, [1e-2], witness=witness_system(
             CounterexampleParams(8.0)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda p4, p8: bessel_failure_witness(p4, [16, 64],
+                                          gram=GramCache(p8, 64)),
+    lambda p4, p8: bessel_failure_witness(p4, [16, 64],
+                                          table=XiTable(p8, 33)),
+    lambda p4, p8: hilbertian_constant_estimate(p4, 2, 16,
+                                                gram=GramCache(p8, 16)),
+    lambda p4, p8: orbit_lower_bound_check(p4, (0, 3), 2,
+                                           witness=witness_system(p8)),
+], ids=["bessel-gram", "bessel-table", "hilbertian-gram", "lower-bound"])
+def test_prebuilt_table_for_another_q_raises(p4, call):
+    # as divergence_profile's witness (test_divergence_profile_columns): a
+    # q = 8 Gram cache gave a q = 4 quadratic form of 18.43 instead of
+    # 21.13 at N = 16, next to q = 4 coefficient sums
+    with pytest.raises(DomainError, match="built for another q"):
+        call(p4, CounterexampleParams(8.0))
 
 
 # -------------------------------------------------------------------- basis

@@ -100,14 +100,16 @@ def test_small_gamma_keys_certify():
         assert abs(value - POWCOS_REF[(g, n)]) <= est, (g, n)
 
 
-def test_estimate_covers_exponent_rounding():
-    # g - 1.0 rounds for these g; the exponent error delta moves the value
-    # by about |delta| / g^2, far above the mesh estimate
-    for g in (1e-4, 1e-6):
+def test_estimate_covers_tiny_exact_exponents():
+    # g reaches the kernel as itself, although g - 1.0 rounds for every one
+    # of these g; the closed head h^g/g, about 1/g, carries the value, and
+    # its rounding joins the estimate, which still passes the default gate
+    for g in (1e-4, 1e-6, 1e-9, 1e-12):
         assert math.fsum([g - 1.0, 1.0, -g]) != 0.0
         for n in (1, 7):
             value, est = singular_oscillatory_detail(g, n)
             assert abs(value - POWCOS_REF[(g, n)]) <= est, (g, n)
+            assert est <= 1e-10 * max(abs(value), 0.01 * math.pi**g / g)
 
 
 def test_estimate_positive_and_small():
@@ -423,7 +425,7 @@ def test_runs_split_every_few_meshes_bit_for_bit(monkeypatch):
 
     monkeypatch.setattr(quadrature, "_graded_mesh", recorded_mesh)
     monkeypatch.setattr(quadrature, "_halving_estimate", counted_pass)
-    a, shifts, L = -0.75, 2.0 * math.pi * np.arange(40), 2.0 * math.pi
+    g, shifts, L = 0.25, 2.0 * math.pi * np.arange(40), 2.0 * math.pi
     system, xi = _random_finite_system(np.random.default_rng(7))
     orbit = orbit_callable(system, xi)
     lams = _laplace_lambda_points()
@@ -431,8 +433,8 @@ def test_runs_split_every_few_meshes_bit_for_bit(monkeypatch):
     decay = orbit_decay_bound(system, xi, 0.0)
     spec = QuadratureSpec(relative_tolerance=1e-8)
     cases = (
-        (lambda: powcos_quadrature(a, shifts, 5.0, L)[0],
-         lambda: [powcos_quadrature(a, c, 5.0, L)[0] for c in shifts.tolist()]),
+        (lambda: powcos_quadrature(g, shifts, 5.0, L)[0],
+         lambda: [powcos_quadrature(g, c, 5.0, L)[0] for c in shifts.tolist()]),
         (lambda: laplace_quadrature(orbit, lams, spec, T=Ts, decay=decay),
          lambda: [laplace_quadrature(orbit, z, spec, T=t, decay=decay)
                   for z, t in zip(lams.tolist(), Ts.tolist())]))
@@ -447,11 +449,10 @@ def test_runs_split_every_few_meshes_bit_for_bit(monkeypatch):
         monkeypatch.setattr(quadrature, "MAX_PANELS", MAX_PANELS)
     # one period: shift 0 alone; no shift at all: no pass
     params = CounterexampleParams(4.0)
-    a = params.gamma - 1.0
     assert xi_period_decomposition(1, params).tolist() == \
-        [powcos_quadrature(a, 0.0, 1.0, L)[0]]
+        [powcos_quadrature(params.gamma, 0.0, 1.0, L)[0]]
     passes.clear()
-    value, est = powcos_quadrature(a, np.zeros(0), 1.0, L)
+    value, est = powcos_quadrature(params.gamma, np.zeros(0), 1.0, L)
     assert value.shape == est.shape == (0,) and not passes
 
 
@@ -460,10 +461,10 @@ def test_batched_estimates_equal_one_mesh_estimates():
     # pass falls in BLAS's tail: the real integrand's estimates, not only
     # its values, are the one-shift ones bit for bit
     shifts = 2.0 * math.pi * np.arange(60)
-    for a in (-0.75, -0.25, 0.5):
+    for g in (0.25, 0.75, 1.5):
         for freq in (1.0, 5.0):
-            value, est = powcos_quadrature(a, shifts, freq, 2.0 * math.pi)
-            singles = [powcos_quadrature(a, c, freq, 2.0 * math.pi)
+            value, est = powcos_quadrature(g, shifts, freq, 2.0 * math.pi)
+            singles = [powcos_quadrature(g, c, freq, 2.0 * math.pi)
                        for c in shifts.tolist()]
             assert value.tolist() == [v for v, _ in singles]
             assert est.tolist() == [e for _, e in singles]

@@ -344,11 +344,15 @@ def test_weiss_quotient_batch_matches_per_point_loop(witness4):
     loop = [weiss_quotient(*args, lam) for lam in lams]
     assert np.array_equal(batch, loop)
     assert type(loop[0]) is float
-    # the modulus is Python's abs(complex), which np.abs does not match
-    # in the last bit at every point
+    # the modulus is np.abs, one array pass; Python's abs(complex) differs
+    # from it in the last bit at some points
     res = [resolvent_observation(*args[:2], lam, 1e-12).value for lam in lams]
-    want = [math.sqrt(lam.real) * abs(r) / args[2] for lam, r in zip(lams, res)]
+    want = [np.sqrt(lam.real) * np.abs(r) / args[2]
+            for lam, r in zip(lams, res)]
     assert np.array_equal(batch, want)
+    python_abs = [math.sqrt(lam.real) * abs(r) / args[2]
+                  for lam, r in zip(lams, res)]
+    assert np.allclose(batch, python_abs, rtol=1e-15, atol=0.0)
 
 
 def test_weiss_norm_orthonormal_batch_matches_per_point_loop():

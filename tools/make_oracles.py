@@ -62,13 +62,16 @@ cases = [
     ("1.75", mp.mpf(7) / 4, [0, 1, 10, 33, 100, 200, 1000, 1599, 2047]),
     ("1.875", mp.mpf(15) / 8, [7]),
     # small gamma = 1/q for q = 30 and 100, the Gram exponent 2 beta + 1
-    # at q = 30, and exponents whose g - 1 rounds; these keys are taken at
-    # their exact binary values
+    # at q = 30, and tiny exponents down to gamma = 1/q at q = 1e12, where
+    # the closed head h^g/g is about 1/g; these keys are taken at their
+    # exact binary values
     ("1.0 / 30.0", mp.mpf(1.0 / 30.0), [1, 7, 100, 5000]),
     ("0.01", mp.mpf(0.01), [1, 7, 100, 5000]),
     ("59.0 / 30.0", mp.mpf(59.0 / 30.0), [0, 1, 33]),
     ("1e-4", mp.mpf(1e-4), [1, 7]),
     ("1e-6", mp.mpf(1e-6), [1, 7]),
+    ("1e-9", mp.mpf(1e-9), [1, 7]),
+    ("1e-12", mp.mpf(1e-12), [1, 7]),
 ]
 lines.append("# POWCOS_REF[(g, n)] = int_0^pi s^(g-1) cos(n s) ds")
 lines.append("POWCOS_REF = {")
