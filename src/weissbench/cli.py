@@ -308,7 +308,10 @@ def _suite_counterexample(args, outdir):
                         "q-th power of the (2,q) norm grows at every "
                         "endpoint step"))
     reg = np.array([math.log(1.0 - math.log(e)) for e in eps_list])
-    env_slope = float(np.polyfit(reg, profile[:, 1] ** params.q, 1)[0])
+    # the closed form, not profile[:, 1] ** q: the norm log(ratio)^(1/q)
+    # rounds to 1 once q is near 1e16, and its q-th power with it
+    env_q = [ce.envelope_power_q(e, args.tau) for e in eps_list]
+    env_slope = float(np.polyfit(reg, env_q, 1)[0])
     with np.errstate(over="ignore"):
         strong_q = profile[:, 2] ** params.q
     orb_slope = float(np.polyfit(reg, strong_q, 1)[0]) \

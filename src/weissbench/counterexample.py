@@ -31,6 +31,7 @@ __all__ = [
     "xi_asymptotic",
     "xi_period_decomposition",
     "envelope",
+    "envelope_power_q",
     "envelope_norm_q",
     "state_norm",
     "WitnessSystem",
@@ -210,18 +211,22 @@ def envelope(t, params):
     return float(value) if value.ndim == 0 else value
 
 
-def envelope_norm_q(eps, tau, params):
-    """Closed-form Lorentz (2, q) norm of the envelope over (eps, tau).
+def envelope_power_q(eps, tau):
+    """Closed-form q-th power of the envelope's Lorentz (2, q) norm.
 
-    The q-th power telescopes to log((1+log(1/eps))/(1+log(1/tau))): the
+    It telescopes to log((1+log(1/eps))/(1+log(1/tau))) for every q: the
     integrand (t^(1/2) f(t))^q dt/t is exactly d log(1+log(1/t)). Divergence
     as eps shrinks is this expression's affine growth in log(1+log(1/eps)).
     """
     if not 0.0 < eps < tau <= 1.0:
         raise DomainError("need 0 < eps < tau <= 1")
     # -log(x), not log(1/x): 1/x overflows for a subnormal x
-    ratio = (1.0 - math.log(eps)) / (1.0 - math.log(tau))
-    return math.log(ratio) ** (1.0 / params.q)
+    return math.log((1.0 - math.log(eps)) / (1.0 - math.log(tau)))
+
+
+def envelope_norm_q(eps, tau, params):
+    """Closed-form Lorentz (2, q) norm of the envelope over (eps, tau)."""
+    return envelope_power_q(eps, tau) ** (1.0 / params.q)
 
 
 def state_norm(params):
@@ -415,12 +420,16 @@ def bessel_failure_witness(params, N_list, spec=DEFAULT_SPEC, gram=None,
     if not sizes or any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise DomainError("N_list must be strictly increasing positive ints")
     n_max = sizes[-1]
+    need = (n_max + 1) // 2 + 1  # entries of a table covering k < n_max
     if gram is None:
         gram = GramCache(params, n_max, spec)
     if table is None:
-        table = XiTable(params, (n_max + 1) // 2 + 1, spec)
+        table = XiTable(params, need, spec)
     _built_for(params, gram, "gram")
     _built_for(params, table, "table")
+    if len(table) < need:
+        raise DomainError(f"table has {len(table)} entries; N = {n_max} "
+                          f"needs {need}")
     nu = np.abs(BasisIndexMap.frequencies(n_max))
     xi = table.values[nu]
     out = np.empty((len(sizes), 3))

@@ -5,9 +5,12 @@ intervals [b_i, b_i+1), zero outside. Every float is a dyadic rational, so
 distribution functions and rearranged breakpoints are computed exactly as
 integer numerators over one common power of two, each result rounded once;
 a function and its decreasing rearrangement therefore have bit-identical
-distribution functions. Norms use a separate vectorized float path that
-divides the values by their maximum, which keeps every power of a value at
-most 1 and makes dyadic rescalings exactly equivariant.
+distribution functions. Both read one table of exact levels per function:
+the first exact call builds it in O(n log n) and keeps it on the function,
+each later distribution_function call is one O(log n) search, and results
+are unchanged by the caching, bit for bit. Norms use a separate vectorized
+float path that divides the values by their maximum, which keeps every
+power of a value at most 1 and makes dyadic rescalings exactly equivariant.
 """
 import csv
 import itertools
@@ -46,7 +49,7 @@ class LorentzIndex:
 class StepFunction:
     """Nonnegative step function on [b_0, b_n) with strictly increasing b."""
 
-    __slots__ = ("breakpoints", "values")
+    __slots__ = ("breakpoints", "values", "_levels")
 
     def __init__(self, breakpoints, values):
         b = np.asarray(breakpoints, dtype=float)
@@ -66,6 +69,7 @@ class StepFunction:
         v.setflags(write=False)
         object.__setattr__(self, "breakpoints", b)
         object.__setattr__(self, "values", v)
+        object.__setattr__(self, "_levels", None)  # built by _level_table
 
     def __setattr__(self, name, value):
         raise AttributeError("StepFunction is immutable")
@@ -119,14 +123,32 @@ def _round_dyadic(n, shift):
     return n / (1 << -shift) if shift < 0 else float(n << shift)
 
 
+def _level_table(f):
+    """(neg, m, shift): f's exact levels, built on first use and kept on f.
+
+    neg holds the distinct positive values negated, so increasing; m[j] *
+    2**shift is the exact measure of {f > -neg[j]}, with m[0] = 0 and m[-1]
+    the measure of {f > 0}.
+    """
+    if f._levels is None:
+        order = np.argsort(-f.values, kind="stable")
+        order = order[f.values[order] > 0.0]  # the zero tail adds nothing
+        values = f.values[order]
+        ends = np.flatnonzero(values != np.append(values[1:], 0.0))
+        n, shift = _dyadic_numerators(f.breakpoints)
+        acc = list(itertools.accumulate(
+            n[i + 1] - n[i] for i in order.tolist()))
+        object.__setattr__(f, "_levels", (
+            -values[ends], [0] + [acc[j] for j in ends.tolist()], shift))
+    return f._levels
+
+
 def distribution_function(f, alpha):
     """Exact measure of { t : f(t) > alpha } for alpha in [0, inf], rounded."""
     if not alpha >= 0.0:
         raise DomainError(f"alpha must be a number >= 0, got {alpha}")
-    n, shift = _dyadic_numerators(f.breakpoints)
-    selected = np.flatnonzero(f.values > alpha).tolist()
-    total = sum(n[i + 1] - n[i] for i in selected)
-    return _round_dyadic(total, shift)
+    neg, m, shift = _level_table(f)
+    return _round_dyadic(m[np.searchsorted(neg, -alpha)], shift)
 
 
 def decreasing_rearrangement(f):
@@ -141,15 +163,9 @@ def decreasing_rearrangement(f):
     to the preceding breakpoint; it has no float representation, and the
     call raises DomainError giving its length and the preceding measure.
     """
-    order = np.argsort(-f.values, kind="stable")
-    order = order[f.values[order] > 0.0]  # the zero tail adds nothing
-    if order.size == 0:  # identically zero input: keep a zero segment
+    neg, levels, shift = _level_table(f)
+    if neg.size == 0:  # identically zero input: keep a zero segment
         return StepFunction(f.breakpoints[:2] - f.breakpoints[0], [0.0])
-    values = f.values[order]
-    ends = np.append(np.flatnonzero(values[1:] != values[:-1]), order.size - 1)
-    n, shift = _dyadic_numerators(f.breakpoints)
-    acc = list(itertools.accumulate(n[i + 1] - n[i] for i in order.tolist()))
-    levels = [0] + [acc[j] for j in ends.tolist()]
     breakpoints = [_round_dyadic(m, shift) for m in levels]
     i = int(np.argmin(np.diff(breakpoints) > 0.0))  # the first collapse
     if breakpoints[i + 1] <= breakpoints[i]:
@@ -157,7 +173,7 @@ def decreasing_rearrangement(f):
         raise DomainError(f"rearranged level of length {length:.6g} has no "
                           "float representation: its end rounds onto the "
                           f"preceding measure {breakpoints[i]:.17g}")
-    return StepFunction(breakpoints, values[ends])
+    return StepFunction(breakpoints, -neg)
 
 
 def lorentz_norm(f, idx):

@@ -337,6 +337,17 @@ def test_counterexample_huge_q_strong_norm_monotone(tmp_path):
     assert checks["strong-norm-monotone"]["worst_slack"] > 0.0
 
 
+def test_counterexample_huge_q_divergence_slope(tmp_path):
+    # at q = 1e16 the envelope norm log(ratio)^(1/q) rounds to 1.0, so the
+    # slope gate regresses the closed-form q-th power log(ratio) instead
+    assert main(["counterexample", "--q", "1e16", "--output-dir",
+                 str(tmp_path)]) == EXIT_OK
+    checks = {c["name"]: c for c in read_summary(str(tmp_path))["checks"]}
+    assert checks["divergence-slope"]["pass"]
+    assert checks["divergence-slope"]["details"].startswith(
+        "envelope q-power slope 1.0000 ")
+
+
 def test_domain_error_inside_a_suite_exits_2(tmp_path, capsys, monkeypatch):
     from weissbench import cli
 

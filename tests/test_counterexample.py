@@ -16,8 +16,8 @@ from weissbench import (BasisIndexMap, BoundViolated, CoefficientVector,
 from weissbench import counterexample as ce
 from weissbench.counterexample import (_LCG_BLOCK, WitnessSystem,
                                        _lcg_uniform, envelope_norm_q,
-                                       gram_entry, period_table,
-                                       xi_period_decomposition)
+                                       envelope_power_q, gram_entry,
+                                       period_table, xi_period_decomposition)
 from weissbench.errors import ToleranceNotMet
 from weissbench.quadrature import (DEFAULT_SPEC, QuadratureSpec,
                                    laplace_quadrature, powcos_quadrature,
@@ -278,8 +278,11 @@ def test_envelope_norm_closed_form(p4):
     # subnormal endpoints, whose reciprocals overflow: log(1/x) = -log(x)
     for eps, tau in ((1e-320, 1.0), (1e-320, 1e-310)):
         want = math.log((1.0 - math.log(eps)) / (1.0 - math.log(tau)))
+        assert envelope_power_q(eps, tau) == want
         assert envelope_norm_q(eps, tau, p4) == pytest.approx(
             want ** 0.25, rel=1e-15)
+    with pytest.raises(DomainError):
+        envelope_power_q(0.1, 1.5)
 
 
 def test_state_norm_closed_form_and_quadrature(p4):
@@ -521,6 +524,14 @@ def test_bessel_witness_validation(p4, gram4):
         bessel_failure_witness(p4, [4, 4], gram=gram4)
     with pytest.raises(DomainError):
         bessel_failure_witness(p4, [0, 4], gram=gram4)
+    # k < 64 reaches |frequency| 32, so a table needs 33 entries
+    for n_max in (5, 31):
+        with pytest.raises(DomainError, match=f"^table has {n_max + 1} "
+                           "entries; N = 64 needs 33$"):
+            bessel_failure_witness(p4, [16, 64], gram=gram4,
+                                   table=XiTable(p4, n_max))
+    assert bessel_failure_witness(p4, [16, 64], gram=gram4,
+                                  table=XiTable(p4, 32)).shape == (2, 3)
 
 
 def test_lcg_stream_is_the_documented_recurrence():

@@ -11,7 +11,7 @@ import pytest
 
 from weissbench import (DomainError, LorentzIndex, StepFunction,
                         decreasing_rearrangement, distribution_function,
-                        holder_pairing, lorentz_norm, sample_steps)
+                        holder_pairing, lorentz, lorentz_norm, sample_steps)
 
 
 def random_step(rng, max_segments=20, tie_grid=None):
@@ -70,6 +70,8 @@ def test_step_function_immutable():
     with pytest.raises(ValueError):
         f.values[0] = 3.0
     assert f.values[0] == 2.0
+    with pytest.raises(AttributeError):
+        f._levels = None  # the level table is set only by the module
 
 
 def test_lorentz_index_validation():
@@ -250,6 +252,48 @@ def test_matches_fraction_oracle_tied_permuted_orbit():
     f = StepFunction(np.concatenate(([0.0], np.cumsum(np.diff(grid)[perm]))),
                      values[perm])
     assert assert_matches_fraction_oracle(f)
+
+
+def test_repeat_queries_match_fraction_oracle():
+    # the first exact call builds the function's level table and later
+    # calls search it: every query is asked twice, in shuffled order, and
+    # checked bit for bit, the sign of a zero measure included
+    rng = np.random.default_rng(22)
+    grid = np.array([0.0, 0.5, 1.25, 2.0, 3.5])
+    cases = [StepFunction([0.5, 1.0, 3.0], [0.0, 0.0])]
+    for i in range(60):  # a single segment every sixth case
+        cases.append(random_step(rng, max_segments=2 if i % 6 == 0 else 20,
+                                 tie_grid=grid if i % 2 == 0 else None))
+    for f in cases:
+        d = fraction_oracle(f)[0]
+        uniq = np.unique(f.values)
+        alphas = [0.0, math.inf, np.nextafter(0.0, 1.0)] + uniq.tolist()
+        alphas += [0.5 * (a + b) for a, b in zip(uniq[:-1], uniq[1:])]
+        for v in uniq[uniq > 0.0]:
+            alphas += [np.nextafter(v, 0.0), np.nextafter(v, math.inf)]
+        alphas = [float(a) for a in alphas] * 2
+        rng.shuffle(alphas)
+        for alpha in alphas:
+            got, want = distribution_function(f, alpha), d(alpha)
+            assert got == want, (f.values, alpha)
+            assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+def test_one_level_table_per_function(monkeypatch):
+    calls = []
+    numerators = lorentz._dyadic_numerators
+
+    def counting(b):
+        calls.append(b.size)
+        return numerators(b)
+
+    monkeypatch.setattr(lorentz, "_dyadic_numerators", counting)
+    rng = np.random.default_rng(23)
+    f = random_step(rng, tie_grid=np.array([0.0, 0.5, 1.25, 2.0]))
+    decreasing_rearrangement(f)
+    for alpha in rng.uniform(0.0, 2.5, 8):
+        distribution_function(f, alpha)
+    assert calls == [f.breakpoints.size]
 
 
 def test_import_does_not_load_fractions():
