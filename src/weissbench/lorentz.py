@@ -144,8 +144,11 @@ def _level_table(f):
 
 
 def distribution_function(f, alpha):
-    """Exact measure of { t : f(t) > alpha } for alpha in [0, inf], rounded."""
-    if not alpha >= 0.0:
+    """Exact measure of { t : f(t) > alpha } for alpha in [0, inf], rounded.
+
+    alpha is one number; an array, even of one entry, raises DomainError.
+    """
+    if np.ndim(alpha) != 0 or not alpha >= 0.0:
         raise DomainError(f"alpha must be a number >= 0, got {alpha}")
     neg, m, shift = _level_table(f)
     return _round_dyadic(m[np.searchsorted(neg, -alpha)], shift)
@@ -162,6 +165,8 @@ def decreasing_rearrangement(f):
     the measure sorted ahead of it (1e-16 behind 100) ends on a float equal
     to the preceding breakpoint; it has no float representation, and the
     call raises DomainError giving its length and the preceding measure.
+    The result comes with its level table, so its first exact query is a
+    search too.
     """
     neg, levels, shift = _level_table(f)
     if neg.size == 0:  # identically zero input: keep a zero segment
@@ -173,7 +178,11 @@ def decreasing_rearrangement(f):
         raise DomainError(f"rearranged level of length {length:.6g} has no "
                           "float representation: its end rounds onto the "
                           f"preceding measure {breakpoints[i]:.17g}")
-    return StepFunction(breakpoints, -neg)
+    g = StepFunction(breakpoints, -neg)
+    # g's values are distinct, positive and decreasing from 0, so its levels
+    # are its own breakpoints: the table the first query would build
+    object.__setattr__(g, "_levels", (neg, *_dyadic_numerators(g.breakpoints)))
+    return g
 
 
 def lorentz_norm(f, idx):

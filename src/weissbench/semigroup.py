@@ -6,8 +6,11 @@ scalar observation functional. Orbits, resolvents, and Weiss quotients are
 truncated series whose returned values always come with a certified tail
 bound: terms inside the active range are summed exactly (fsum) and the part
 beyond the smallest admissible index is bounded by measured geometric decay.
-Observations take one point or a 1-d array of points; each point keeps its
-own truncation, bit for bit the one a single-point call makes.
+Observations take one point or a 1-d array of finite points; each point
+keeps its own truncation, bit for bit the one a single-point call makes.
+Systems and coefficient vectors are immutable, so the resolvent's
+truncation, which does not depend on the point, is certified once per
+(system, coefficients, tolerance) and kept on the coefficient vector.
 """
 import math
 from typing import NamedTuple
@@ -59,8 +62,19 @@ def _integer(value, name, low=None):
     return int(value)
 
 
+def _freeze(obj, **slots):
+    """Set the slots of an immutable object, arrays made read-only."""
+    for name, value in slots.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(obj, name, value)
+
+
 class DiagonalSystem:
-    """Diagonal generator with eigenvalues mu_k and observation weights c_k."""
+    """Diagonal generator with eigenvalues mu_k and observation weights c_k.
+
+    Immutable: read-only arrays, and setting an attribute raises.
+    """
 
     __slots__ = ("mu", "c", "n_active")
 
@@ -80,9 +94,10 @@ class DiagonalSystem:
             raise DomainError(
                 "terms |c_k|/mu_k grow over the active modes; the "
                 "resolvent series shows no sign of convergence")
-        self.mu = mu
-        self.c = c
-        self.n_active = n_active
+        _freeze(self, mu=mu, c=c, n_active=n_active)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("DiagonalSystem is immutable")
 
     @classmethod
     def default(cls, n_active=64):
@@ -100,19 +115,23 @@ class CoefficientVector:
 
     tail_sup is a caller-certified bound on |xi_k| for every k at and beyond
     len(values); 0.0 (the default) declares the vector finite. Square
-    summability is deliberately not required.
+    summability is deliberately not required. The vector copies the
+    caller's values and is immutable like DiagonalSystem; _resolvent holds
+    the last certificate resolvent_observation made for it.
     """
 
-    __slots__ = ("values", "tail_sup")
+    __slots__ = ("values", "tail_sup", "_resolvent")
 
     def __init__(self, values, tail_sup=0.0):
-        v = np.asarray(values, dtype=float)
+        v = np.array(values, dtype=float)
         if v.ndim != 1 or v.size == 0 or not np.all(np.isfinite(v)):
             raise DomainError("coefficients must be a finite 1-d float array")
         if not tail_sup >= 0.0:
             raise DomainError("tail_sup must be >= 0")
-        self.values = v
-        self.tail_sup = float(tail_sup)
+        _freeze(self, values=v, tail_sup=float(tail_sup), _resolvent=None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CoefficientVector is immutable")
 
 
 class ObservedValue(NamedTuple):
@@ -122,17 +141,17 @@ class ObservedValue(NamedTuple):
     n_terms: int
 
 
-def _truncated_sum(terms, abs_terms, weights, tail_sup, tol, one, what):
-    """Smallest-N truncation of each row of terms, tail certified below tol.
+def _certified_counts(abs_terms, weights, tail_sup, tol, what):
+    """Smallest-N truncation of each row, its tail certified below tol.
 
     Beyond the active range the tail is at most tail_sup times the sum of
     the per-mode factors in weights (c_k e^{-mu_k t} or c_k/mu_k); their
     measured decay must be geometric with non-increasing ratios at the end,
     which extends rigorously to log-convex growth rules like the default
     powers-of-two/four systems. Row i then keeps the smallest count N_i
-    whose tail sum_{k>=N_i} |term_ik| + beyond_i is below tol, and sums
-    those terms exactly (fsum). abs_terms and weights hold a row for every
-    row of terms, or one shared by all; one returns the first row alone.
+    whose tail sum_{k>=N_i} abs_terms[i, k] + beyond_i is below tol; the
+    counts and those tails are returned. weights holds a row for every row
+    of abs_terms, or one shared by all.
     """
     if not tol > 0.0:
         raise DomainError("tol must be positive")
@@ -162,18 +181,16 @@ def _truncated_sum(terms, abs_terms, weights, tail_sup, tol, one, what):
     suffix *= 1.0 + 256.0 * _EPS  # cumsum roundoff must not undercut the bound
     bounds = suffix + beyond[:, None]
     first = (bounds < tol).argmax(1)  # the last column always passes
-    share = len(terms) // len(bounds)  # a shared row serves every point
-    counts = (first + 1).repeat(share)
-    tails = bounds[np.arange(len(bounds)), first].repeat(share)
+    return first + 1, bounds[np.arange(len(bounds)), first]
+
+
+def _fsums(terms, counts):
+    """The first counts[i] terms of each row i, summed exactly (fsum)."""
     if np.iscomplexobj(terms):
-        sums = [complex(math.fsum(row[:n].real.tolist()),
+        return [complex(math.fsum(row[:n].real.tolist()),
                         math.fsum(row[:n].imag.tolist()))
                 for row, n in zip(terms, counts)]
-    else:
-        sums = [math.fsum(row[:n].tolist()) for row, n in zip(terms, counts)]
-    if one:
-        return ObservedValue(sums[0], float(tails[0]), int(counts[0]))
-    return ObservedValue(np.array(sums), tails, int(counts.max()))
+    return [math.fsum(row[:n].tolist()) for row, n in zip(terms, counts)]
 
 
 def _points(x, dtype, what):
@@ -181,8 +198,8 @@ def _points(x, dtype, what):
     points = np.asarray(x, dtype=dtype)
     if points.ndim > 1 or points.size == 0:
         raise DomainError(f"{what} must be one point or a nonempty 1-d array")
-    if not points.real.min() > 0.0:
-        raise DomainError(f"{what} must have a positive real part")
+    if not (points.real.min() > 0.0 and np.isfinite(points).all()):
+        raise DomainError(f"{what} must be finite with a positive real part")
     return points.reshape(-1), points.ndim == 0
 
 
@@ -201,18 +218,39 @@ def orbit_observation(sys, xi, t, tol):
     v, mu, c = _active_slice(sys, xi)
     decay = np.exp(-mu * t[:, None])
     terms = v * c * decay
-    return _truncated_sum(terms, np.abs(terms), np.abs(c) * decay,
-                          xi.tail_sup, tol, one, "orbit_observation")
+    counts, tails = _certified_counts(np.abs(terms), np.abs(c) * decay,
+                                      xi.tail_sup, tol, "orbit_observation")
+    sums = _fsums(terms, counts)
+    if one:
+        return ObservedValue(sums[0], float(tails[0]), int(counts[0]))
+    return ObservedValue(np.array(sums), tails, int(counts.max()))
 
 
 def resolvent_observation(sys, xi, lam, tol):
-    """Observed resolvent sum_k xi_k c_k/(lam + mu_k), certified tail < tol."""
+    """Observed resolvent sum_k xi_k c_k/(lam + mu_k), certified tail < tol.
+
+    |c/(lam+mu)| <= |c|/mu on the right half-plane, so the truncation and
+    its tail depend on (sys, xi, tol) alone. xi keeps the last certified
+    one with the terms' numerators; a call for the same sys and tol only
+    divides and sums. A failed certification is not kept.
+    """
     lam, one = _points(lam, complex, "lambda")
-    v, mu, c = _active_slice(sys, xi)
-    weights = np.abs(c) / mu  # |c/(lam+mu)| <= |c|/mu on the right half-plane
-    terms = (v * c).astype(complex) / (lam[:, None] + mu)
-    return _truncated_sum(terms, (np.abs(v) * weights)[None], weights[None],
-                          xi.tail_sup, tol, one, "resolvent_observation")
+    entry = xi._resolvent
+    if entry is None or entry[0] is not sys or entry[1] != tol:
+        v, mu, c = _active_slice(sys, xi)
+        weights = np.abs(c) / mu
+        counts, tails = _certified_counts(
+            (np.abs(v) * weights)[None], weights[None], xi.tail_sup, tol,
+            "resolvent_observation")
+        n = int(counts[0])
+        entry = (sys, tol, n, float(tails[0]),
+                 (v * c)[:n].astype(complex), mu[:n])
+        object.__setattr__(xi, "_resolvent", entry)
+    _, _, n, tail, vc, mu = entry
+    sums = _fsums(vc / (lam[:, None] + mu), [n] * lam.size)
+    if one:
+        return ObservedValue(sums[0], tail, n)
+    return ObservedValue(np.array(sums), np.full(lam.size, tail), n)
 
 
 def orbit_callable(sys, xi):
@@ -273,8 +311,9 @@ def weiss_norm_orthonormal(sys, lam, tol):
         raise DivergentSum(
             "sum c_k^2/mu_k^2 diverges over the active modes")
     terms = sys.c**2 / np.abs(lam[:, None] + sys.mu) ** 2
-    sums = _truncated_sum(terms, terms, limit[None], 1.0, tol, False,
-                          "weiss_norm_orthonormal").value
+    counts, _ = _certified_counts(terms, limit[None], 1.0, tol,
+                                  "weiss_norm_orthonormal")
+    sums = np.array(_fsums(terms, counts))
     norms = np.sqrt(lam.real) * np.sqrt(sums)
     return float(norms[0]) if one else norms
 

@@ -94,9 +94,14 @@ def test_distribution_function_hand_case():
     assert distribution_function(f, 1.5) == 1.0
     assert distribution_function(f, 2.0) == 0.0
     assert distribution_function(f, math.inf) == 0.0
-    for alpha in (-0.1, math.nan, -math.inf):
+    for alpha in (-0.1, math.nan, -math.inf, np.array([1.0]),
+                  np.array([0.5, 1.5]), np.ones((1, 1))):
         with pytest.raises(DomainError):
             distribution_function(f, alpha)
+    # one number of any numeric type, huge Python ints included
+    for alpha in (1, np.float64(1.0), np.float32(1.0), np.array(1.0)):
+        assert distribution_function(f, alpha) == 1.0
+    assert distribution_function(f, 10**400) == 0.0
 
 
 def test_rearrangement_hand_case_with_tie():
@@ -290,10 +295,32 @@ def test_one_level_table_per_function(monkeypatch):
     monkeypatch.setattr(lorentz, "_dyadic_numerators", counting)
     rng = np.random.default_rng(23)
     f = random_step(rng, tie_grid=np.array([0.0, 0.5, 1.25, 2.0]))
-    decreasing_rearrangement(f)
+    g = decreasing_rearrangement(f)
     for alpha in rng.uniform(0.0, 2.5, 8):
         distribution_function(f, alpha)
-    assert calls == [f.breakpoints.size]
+        distribution_function(g, alpha)
+    # the rearrangement builds f's table and seeds g's from g's breakpoints
+    assert calls == [f.breakpoints.size, g.breakpoints.size]
+
+
+def test_rearrangement_seeds_the_general_table():
+    rng = np.random.default_rng(29)
+    cases = [random_step(rng, max_segments=60) for _ in range(40)]
+    cases += [random_step(rng, max_segments=60,
+                          tie_grid=np.array([0.0, 0.5, 1.25, 2.0]))
+              for _ in range(40)]
+    cases.append(StepFunction([5e-324, 1e-300, 1.0, 1e300], [3.0, 2.0, 1.0]))
+    for f in cases:
+        g = decreasing_rearrangement(f)
+        neg, m, shift = g._levels
+        want_neg, want_m, want_shift = lorentz._level_table(
+            StepFunction(g.breakpoints, g.values))
+        assert np.array_equal(neg, want_neg)
+        assert m == want_m and shift == want_shift
+    # the zero function keeps the general path: its table is built on use
+    g = decreasing_rearrangement(StepFunction([0.0, 2.0], [0.0]))
+    assert g._levels is None
+    assert distribution_function(g, 0.0) == 0.0
 
 
 def test_import_does_not_load_fractions():

@@ -9,6 +9,7 @@ from weissbench import (CoefficientVector, DiagonalSystem, DivergentSum,
                         DomainError, TruncationOverflow, decay_profile,
                         orbit_observation, resolvent_observation,
                         weiss_norm_orthonormal, weiss_quotient)
+from weissbench import semigroup
 from weissbench.counterexample import CounterexampleParams, witness_system
 from weissbench.semigroup import (decay_norm_orthonormal, lambda_grid,
                                   log_grid, orbit_callable, orbit_decay_bound)
@@ -396,3 +397,121 @@ def test_batch_point_outside_domain_is_domain_error(witness4):
         orbit_observation(sys_, xi, np.array([1.0, 0.0]), 1e-9)
     with pytest.raises(DomainError):
         resolvent_observation(sys_, xi, np.array([1.0, -1.0 + 1.0j]), 1e-9)
+
+
+# ------------------------------------------------- resolvent certificate
+def count_certifications(monkeypatch):
+    calls = []
+    certify = semigroup._certified_counts
+
+    def counting(*args):
+        calls.append(args[-1])
+        return certify(*args)
+
+    monkeypatch.setattr(semigroup, "_certified_counts", counting)
+    return calls
+
+
+def fresh(xi):
+    """An equal coefficient vector that holds no resolvent certificate."""
+    return CoefficientVector(xi.values, xi.tail_sup)
+
+
+def test_one_certification_per_system_and_tolerance(monkeypatch, witness4):
+    sys_, xi, x_norm = witness4.system, fresh(witness4.xi), witness4.x_norm
+    lams = lambda_grid(n_moduli=49, n_args=33)
+    want = weiss_quotient(sys_, fresh(xi), x_norm, lams)
+    calls = count_certifications(monkeypatch)
+    loop = [weiss_quotient(sys_, xi, x_norm, lam) for lam in lams]
+    assert calls == ["resolvent_observation"]
+    assert np.array_equal(loop, want)
+    weiss_quotient(sys_, xi, x_norm, lams)  # a batch reads the same entry
+    assert len(calls) == 1
+
+
+def test_new_tolerance_or_system_rebuilds_the_certificate(monkeypatch,
+                                                          witness4):
+    sys_, xi = witness4.system, fresh(witness4.xi)
+    other = DiagonalSystem.default(n_active=sys_.n_active)  # equal, not same
+    lams = lambda_grid()[::7]
+    calls = count_certifications(monkeypatch)
+    for system, tol in ((sys_, 1e-12), (sys_, 1e-6), (other, 1e-6),
+                        (sys_, 1e-6), (sys_, 1e-12)):
+        for lam in lams:
+            got = resolvent_observation(system, xi, lam, tol)
+            assert got == resolvent_observation(system, fresh(xi), lam, tol)
+        batch = resolvent_observation(system, xi, lams, tol)
+        want = resolvent_observation(system, fresh(xi), lams, tol)
+        assert np.array_equal(batch.value, want.value)
+        assert np.array_equal(batch.tail_bound, want.tail_bound)
+        assert batch.n_terms == want.n_terms
+    # each switch certifies once for xi and once for every fresh vector
+    assert len(calls) == 5 + 5 * (len(lams) + 1)
+    loose = resolvent_observation(sys_, xi, lams[0], 1e-6)
+    tight = resolvent_observation(sys_, xi, lams[0], 1e-12)
+    assert loose.n_terms < tight.n_terms
+
+
+def test_failed_certification_raises_every_call_and_is_not_kept():
+    sys_ = DiagonalSystem.default(n_active=8)
+    xi = CoefficientVector(np.ones(8), tail_sup=1.0)
+    good = resolvent_observation(sys_, xi, 1.0, 1e-1)
+    entry = xi._resolvent
+    for _ in range(3):
+        with pytest.raises(TruncationOverflow):
+            resolvent_observation(sys_, xi, 1.0, 1e-12)
+        with pytest.raises(TruncationOverflow):
+            weiss_quotient(sys_, xi, 1.0, np.array([1.0, 2.0]), 1e-12)
+        for tol in (0.0, -1e-6, math.nan):
+            with pytest.raises(DomainError):
+                resolvent_observation(sys_, xi, 1.0, tol)
+        assert xi._resolvent is entry
+    assert resolvent_observation(sys_, xi, 1.0, 1e-1) == good
+    slow = DiagonalSystem(lambda k: 1.0 + k, lambda k: 1.0, 64)
+    xi = CoefficientVector(np.ones(64), tail_sup=1.0)
+    for _ in range(3):
+        with pytest.raises(TruncationOverflow):
+            resolvent_observation(slow, xi, 1.0, 1e-6)
+        assert xi._resolvent is None
+
+
+def test_system_and_coefficients_are_immutable():
+    caller = np.array([1.0, 0.5, 0.25])
+    xi = CoefficientVector(caller, tail_sup=0.1)
+    sys_ = DiagonalSystem.default(n_active=4)
+    for obj, names in ((xi, ("values", "tail_sup", "_resolvent", "other")),
+                       (sys_, ("mu", "c", "n_active", "other"))):
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(obj, name, None)
+    for array in (xi.values, sys_.mu, sys_.c):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 2.0
+    # the vector copies the caller's array, which stays writable and free
+    assert caller.flags.writeable and not np.shares_memory(caller, xi.values)
+    caller[0] = 7.0
+    assert xi.values[0] == 1.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_points_are_domain_errors(bad, witness4):
+    sys_, xi, x_norm = witness4.system, witness4.xi, witness4.x_norm
+    resolvent_observation(sys_, xi, 1.0, 1e-12)  # a kept certificate
+    lams = [complex(bad, 1.0), complex(1.0, bad), complex(bad, bad)]
+    lams = [lam for lam in lams if not lam.real < 0.0]
+    for lam in lams:
+        for point in (lam, np.array([1.0 + 1.0j, lam])):
+            with pytest.raises(DomainError):
+                resolvent_observation(sys_, xi, point, 1e-12)
+            with pytest.raises(DomainError):
+                weiss_quotient(sys_, xi, x_norm, point)
+            with pytest.raises(DomainError):
+                weiss_norm_orthonormal(sys_, point, 1e-12)
+    for t in (bad, np.array([1.0, bad])):
+        with pytest.raises(DomainError):
+            orbit_observation(sys_, xi, t, 1e-12)
+        with pytest.raises(DomainError):
+            decay_profile(sys_, xi, x_norm, np.atleast_1d(t))
+        with pytest.raises(DomainError):
+            decay_norm_orthonormal(sys_, t)
