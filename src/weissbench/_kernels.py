@@ -1,42 +1,50 @@
 """Panel quadrature kernel: Gauss sums of an integrand over panel meshes.
 
 gauss_contributions evaluates, per panel, (h/2) * sum_i w_i * f(s_i) on the
-Gauss nodes s_i = m + (h/2) x_i of a panel with midpoint m, for an
-elementwise integrand f, in passes of at most _BLOCK panels so temporaries
-stay bounded on any mesh; powcos_panels does so for x^g / x * cos(freq s),
-x = shift + s, with one shift or one per panel: x^(g-1) without rounding
-the exponent g - 1. Both return the per-panel array and sum nothing:
-quadrature._halving_estimate is the one reducer of every route.
+GAUSS_ORDER Gauss nodes s_i = m + (h/2) x_i of a panel with midpoint m,
+for an elementwise integrand f, in passes of at most _BLOCK panels so
+temporaries stay bounded; powcos_panels does so for x^g / x * cos(freq s),
+x = shift + s, one shift or one per panel: x^(g-1) without rounding g - 1.
+Both return the per-panel array; quadrature._halving_estimate sums it.
+A pass's weighted sums are one BLAS matrix-vector product, a row a panel;
+OpenBLAS sums the last (rows mod 4) rows of a call, and every row of a call
+with fewer than 4, in another order. So each pass repeats its last edge,
+and each panel argument its last value, to whole 4-row groups: a panel's
+sum is the same, bit for bit, wherever it sits in a call.
 """
 import numpy as np
 
-__all__ = ["gauss_contributions", "powcos_panels"]
+__all__ = ["GAUSS_ORDER", "gauss_contributions", "powcos_panels"]
 
-_BLOCK = 8192  # panels per array pass, a multiple of BLAS's 4-row groups
+GAUSS_ORDER = 12
+_NODES, _WEIGHTS = (np.ascontiguousarray(a)
+                    for a in np.polynomial.legendre.leggauss(GAUSS_ORDER))
+_BLOCK = 8192  # panels per array pass
 
 
-def gauss_contributions(f, edges, nodes, weights, *panel_args):
+def gauss_contributions(f, edges, *panel_args):
     """Per-panel Gauss sums of f over the mesh edges.
 
     f(s, m, h2, *args) gets the nodes of one pass, a row per panel, the
     panels' midpoints m and half-widths h2 as columns, and each array of
-    panel_args (one value per panel) sliced to that pass as a column.
+    panel_args (one value per panel) sliced to that pass as a column; rows
+    past the pass's panels are zero-width copies of its last, and dropped.
     """
     out = None
     for i in range(0, max(edges.size - 1, 1), _BLOCK):
-        e = edges[i:i + _BLOCK + 1]
+        n = max(min(edges.size - 1 - i, _BLOCK), 0)
+        e, *args = (np.pad(a, (0, -n % 4), "edge") for a in (
+            edges[i:i + _BLOCK + 1], *(a[i:i + _BLOCK] for a in panel_args)))
         m, h2 = 0.5 * (e[1:] + e[:-1])[:, None], 0.5 * np.diff(e)[:, None]
-        s = m + h2 * nodes[None, :]
-        part = h2[:, 0] * (f(s, m, h2, *(a[i:i + _BLOCK, None]
-                                         for a in panel_args)) @ weights)
+        part = h2[:, 0] * (f(m + h2 * _NODES, m, h2,
+                             *(a[:, None] for a in args)) @ _WEIGHTS)
         if out is None:
             out = np.empty(max(edges.size - 1, 0), dtype=part.dtype)
-        out[i:i + _BLOCK] = part
+        out[i:i + _BLOCK] = part[:n]
     return out
 
 
-def powcos_panels(g, shift, freq, edges, nodes, weights):
+def powcos_panels(g, shift, freq, edges):
     return gauss_contributions(
         lambda s, m, h2, c: np.power(c + s, g) / (c + s) * np.cos(freq * s),
-        edges, nodes, weights,
-        np.broadcast_to(shift, max(edges.size - 1, 0)))
+        edges, np.broadcast_to(shift, max(edges.size - 1, 0)))

@@ -16,9 +16,9 @@ import numpy as np
 from ._kernels import powcos_panels
 from .errors import BoundViolated, DomainError, ToleranceNotMet
 from .lorentz import lorentz_norm, sample_steps
-from .quadrature import (_EPS, _NODES, _WEIGHTS, DEFAULT_SPEC,
-                         _halving_estimate, gamma_function, powcos_quadrature,
-                         singular_end, singular_oscillatory_integral)
+from .quadrature import (_EPS, DEFAULT_SPEC, _halving_estimate,
+                         gamma_function, powcos_quadrature, singular_end,
+                         singular_oscillatory_integral)
 from .semigroup import (CoefficientVector, DiagonalSystem, _integer,
                         log_grid, orbit_callable, orbit_observation)
 
@@ -136,7 +136,7 @@ def period_table(g, kmax, spec=DEFAULT_SPEC):
     first, head, bound = singular_end(g, 1.0, math.pi, 0.5 * math.pi, spec)
     edges = np.append(first, 0.5 * math.pi * np.arange(3, 2 * kmax + 1))
     increments, local, _ = _halving_estimate(
-        lambda e: powcos_panels(g, 0.0, 1.0, e, _NODES, _WEIGHTS), edges,
+        lambda e: powcos_panels(g, 0.0, 1.0, e), edges,
         np.r_[0, first.size - 1:edges.size - 1:2])  # a group per period
     # the head's rounding: 64 eps |head| <= 64 eps (|increments[0]| + abs sum)
     increments[0] += head

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import gauss_contributions, powcos_panels
+from ._kernels import _NODES, GAUSS_ORDER, gauss_contributions, powcos_panels
 from .errors import DomainError, ToleranceNotMet
 
 __all__ = [
@@ -26,9 +26,6 @@ __all__ = [
     "laplace_quadrature",
 ]
 
-GAUSS_ORDER = 12
-_NODES, _WEIGHTS = (np.ascontiguousarray(a)
-                    for a in np.polynomial.legendre.leggauss(GAUSS_ORDER))
 # leggauss symmetrizes its nodes: _NODES[:_HALF] is -_NODES[_HALF:] reversed
 _HALF = GAUSS_ORDER // 2
 _EPS = float(np.finfo(float).eps)
@@ -106,26 +103,21 @@ def _mesh_estimates(contributions, meshes, values):
     as lists; a mesh's panels take its entry of the array values, passed as
     contributions(edges, per-panel values). Meshes join in order into runs
     of at most MAX_PANELS panels, one halving pass a run (a mesh in the
-    budget alone makes one). The panel joining a mesh to the next, and
-    three zero-width panels after a run's last, take its value and are
-    discarded groups of their own. BLAS's matrix-vector product may sum the
-    last (rows mod 4) rows of a call, at most 3, and every row of a call
-    with fewer than 4, in another order; the zero-width panels fill those
-    rows in both passes, so a mesh's fine value and estimate are the ones
-    it has alone, bit for bit, wherever its run puts it. One run's meshes
-    are held at a time.
+    budget alone makes one). The panel joining a mesh to the next takes its
+    value and is a discarded group of its own; the kernel sums a panel the
+    same wherever it sits, so a mesh's fine value and estimate are the ones
+    it has alone, bit for bit. One run's meshes are held at a time.
     """
     out = [], [], []
 
     def evaluate(run):
         sizes = np.array([m.size for m in run])
         ends = np.cumsum(sizes)  # a mesh's joining panel is its end - 1
-        starts = np.c_[ends - sizes, ends - 1].ravel()
-        sizes[-1] += 2  # the last mesh's value on all three end panels
+        starts = np.c_[ends - sizes, ends - 1].ravel()[:-1]  # last: no join
         k = len(out[0])
         for acc, v in zip(out, _halving_estimate(
-                contributions, np.concatenate(run + [run[-1][-1:]] * 3),
-                starts, (values[k:k + len(run)].repeat(sizes),))):
+                contributions, np.concatenate(run), starts,
+                (values[k:k + len(run)].repeat(sizes)[:-1],))):
             acc.extend(v[::2].tolist())
 
     run, panels = [], 0
@@ -169,7 +161,7 @@ def powcos_quadrature(g, shift, freq, L, spec=DEFAULT_SPEC):
                         else (None, 0.0, 0.0))
     plain = None if zero.all() else _graded_mesh(L, cap, None)
     fine, est, _ = _mesh_estimates(
-        lambda e, c: powcos_panels(g, c, freq, e, _NODES, _WEIGHTS),
+        lambda e, c: powcos_panels(g, c, freq, e),
         (end if z else plain for z in zero.tolist()), shifts.reshape(-1))
     value = np.array(fine) + head * zero
     est = np.array(est) + (bound + 4.0 * _EPS * head) * zero
@@ -273,8 +265,8 @@ def laplace_quadrature(orbit, lam, spec=DEFAULT_SPEC, *, T, decay):
         return z
 
     values, est, abssum = _mesh_estimates(
-        lambda e, neg_lam: gauss_contributions(integrand, e, _NODES, _WEIGHTS,
-                                               neg_lam), meshes(), -lams)
+        lambda e, neg_lam: gauss_contributions(integrand, e, neg_lam),
+        meshes(), -lams)
     for (z, t), h, value, e, a in zip(points, heads, values, est, abssum):
         e += M * h ** g / g
         if e > spec.relative_tolerance * max(abs(value), 0.01 * a):

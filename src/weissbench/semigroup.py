@@ -282,8 +282,10 @@ def orbit_decay_bound(sys, xi, alpha):
     sup_t t^alpha e^(-mu t) = (alpha/(e mu))^alpha (0^0 = 1), so M is the
     sum of |xi_k c_k| (alpha/(e mu_k))^alpha over the active modes, raised
     by a few eps against its own roundoff. This is the decay argument of
-    laplace_quadrature.
+    laplace_quadrature. alpha must be finite and nonnegative.
     """
+    if not 0.0 <= alpha < math.inf:
+        raise DomainError(f"alpha must be finite and >= 0, got {alpha}")
     v, mu, c = _active_slice(sys, xi)
     terms = np.abs(v * c) * (alpha / (math.e * mu)) ** alpha
     return math.fsum(terms.tolist()) * (1.0 + 8.0 * _EPS), alpha
@@ -291,8 +293,8 @@ def orbit_decay_bound(sys, xi, alpha):
 
 def weiss_quotient(sys, xi, x_norm, lam, tol=1e-12):
     """Re(lam)^(1/2) |resolvent observation| / x_norm, at lam or over it."""
-    if not x_norm > 0.0:
-        raise DomainError("x_norm must be positive")
+    if not 0.0 < x_norm < math.inf:
+        raise DomainError(f"x_norm must be positive and finite, got {x_norm}")
     value = resolvent_observation(sys, xi, lam, tol).value
     lam = np.asarray(lam, dtype=complex)  # validated by the call above
     quotient = np.sqrt(lam.real) * np.abs(value) / x_norm
@@ -320,8 +322,8 @@ def weiss_norm_orthonormal(sys, lam, tol):
 
 def decay_profile(sys, xi, x_norm, t_grid, tol=1e-12):
     """Samples (t, t^(1/2) |orbit(t)| / x_norm) over a positive grid."""
-    if not x_norm > 0.0:
-        raise DomainError("x_norm must be positive")
+    if not 0.0 < x_norm < math.inf:
+        raise DomainError(f"x_norm must be positive and finite, got {x_norm}")
     orbit = orbit_observation(sys, xi, t_grid, tol).value
     return np.column_stack([t_grid, np.sqrt(t_grid) * np.abs(orbit) / x_norm])
 

@@ -488,6 +488,18 @@ def test_gram_cache_raises_instead_of_storing_uncertified(p4, monkeypatch):
     assert exc.value.estimate == pytest.approx(2.0 * 42.0 ** -1.75)
 
 
+@pytest.mark.parametrize("q", [8.0, 50.0, 1e3])
+def test_tables_are_prefixes_of_larger_tables(q):
+    # an entry's value does not depend on how many entries the table holds
+    params = CounterexampleParams(q)
+    gram, table = GramCache(params, 1600), XiTable(params, 10_000)
+    for n in (2, 4, 5, 64, 801):
+        assert np.array_equal(GramCache(params, n)._by_delta,
+                              gram._by_delta[:n])
+        assert np.array_equal(XiTable(params, n).values,
+                              table.values[:n + 1])
+
+
 def test_gram_cache_validation(p4, gram4):
     for bad in (0, 2.5):
         with pytest.raises(DomainError):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from weissbench._kernels import gauss_contributions, powcos_panels
+from weissbench._kernels import _BLOCK, gauss_contributions, powcos_panels
 from weissbench.quadrature import (_EPS, _graded_mesh, _halving_estimate,
                                    singular_end)
 
@@ -43,10 +43,35 @@ def test_kernels_match_per_node_reference():
     for edges in meshes(rng):
         for g, shift, freq in cases:
             ref = reference_contributions(g, shift, freq, edges)
-            contrib = powcos_panels(g, shift, freq, edges, NODES, WEIGHTS)
+            contrib = powcos_panels(g, shift, freq, edges)
             assert contrib.shape == (edges.size - 1,)
             for got, (want, scale) in zip(contrib.tolist(), ref):
                 assert abs(got - want) <= 1e-14 * scale
+
+
+def test_panel_sums_do_not_depend_on_their_place_in_a_call():
+    # a panel's Gauss sum, real or complex, with a per-panel argument or
+    # not, is the same bit for bit in any sub-mesh holding it: at every
+    # offset mod 4, across the pass boundary, for 1 to 9 panels
+    rng = np.random.default_rng(5)
+    edges = np.concatenate(([0.0], np.cumsum(rng.uniform(1e-3, 1e-2,
+                                                         _BLOCK + 16))))
+    lam = rng.uniform(0.5, 2.0, edges.size - 1) * (1.0 + 30.0j)
+
+    def cplx(e, lam):
+        return gauss_contributions(
+            lambda s, m, h2, z: np.exp(-z * s) / np.sqrt(1.0 + s), e, lam)
+
+    real = (lambda e, shift: powcos_panels(0.25, shift, 3.0, e),
+            np.linspace(0.0, 1.0, edges.size - 1))
+    for contributions, arg in (real, (cplx, lam)):
+        full = contributions(edges, arg)
+        for start in (*range(8), *range(_BLOCK - 12, _BLOCK + 4)):
+            for n in range(1, 10):
+                part = contributions(edges[start:start + n + 1],
+                                     arg[start:start + n])
+                assert np.array_equal(part, full[start:start + n])
+        assert contributions(edges[:1], arg[:0]).shape == (0,)
 
 
 def fine_panels(contributions, edges):
@@ -68,27 +93,24 @@ def test_grouped_estimate_equals_separate_groups():
     ends = np.r_[starts[1:], edges.size - 1]
 
     def kernel(e):
-        return powcos_panels(g, 0.0, 1.0, e, NODES, WEIGHTS)
+        return powcos_panels(g, 0.0, 1.0, e)
 
     fine, est, abssum = _halving_estimate(kernel, edges, starts)
     assert fine.shape == est.shape == abssum.shape == (starts.size,)
     for i, (lo, hi) in enumerate(zip(starts, ends)):
         (f,), (e,), (s,) = _halving_estimate(kernel, edges[lo:hi + 1])
-        assert abs(fine[i] - f) <= min(est[i], e)
-        assert abs(est[i] - e) <= 64.0 * _EPS * s
-        assert abs(abssum[i] - s) <= 64.0 * _EPS * s
+        assert (fine[i], est[i], abssum[i]) == (f, e, s)
 
 
 def test_pairwise_sum_stays_under_the_roundoff_floor():
     # the halving of a mesh just inside MAX_PANELS, and a complex
     # Laplace-style integrand that cancels over thousands of oscillations
     n = 199_000
-    real = (lambda e: powcos_panels(0.25, 0.0, float(n), e, NODES, WEIGHTS),
+    real = (lambda e: powcos_panels(0.25, 0.0, float(n), e),
             singular_end(0.25, float(n), math.pi, math.pi / n)[0])
     lam = 1.0 + 60000.0j
     cplx = (lambda e: gauss_contributions(
-        lambda s, m, h2: np.exp(-lam * s) / np.sqrt(1.0 + s), e, NODES,
-        WEIGHTS),
+        lambda s, m, h2: np.exp(-lam * s) / np.sqrt(1.0 + s), e),
             _graded_mesh(10.0, math.pi / lam.imag, 1e-12))
     for contributions, edges in (real, cplx):
         ((fine,), _, (abssum,)), c = fine_panels(contributions, edges)

@@ -457,9 +457,9 @@ def test_runs_split_every_few_meshes_bit_for_bit(monkeypatch):
 
 
 def test_batched_estimates_equal_one_mesh_estimates():
-    # three zero-width panels end every run, so no wanted row of either
-    # pass falls in BLAS's tail: the real integrand's estimates, not only
-    # its values, are the one-shift ones bit for bit
+    # the kernel pads every pass to whole 4-row groups, so no wanted row
+    # of either pass falls in BLAS's tail: the real integrand's estimates,
+    # not only its values, are the one-shift ones bit for bit
     shifts = 2.0 * math.pi * np.arange(60)
     for g in (0.25, 0.75, 1.5):
         for freq in (1.0, 5.0):

@@ -159,6 +159,10 @@ def test_orbit_decay_bound():
     peak = abs(orbit_callable(sys1, xi1)(np.array([0.5 / 3.0]))[0])
     assert peak * (0.5 / 3.0) ** 0.5 <= M <= peak * (0.5 / 3.0) ** 0.5 * (
         1.0 + 1e-14)
+    assert math.isfinite(orbit_decay_bound(sys1, xi1, 2.0)[0])
+    for bad in (math.nan, -0.5, math.inf):
+        with pytest.raises(DomainError):
+            orbit_decay_bound(sys1, xi1, bad)
 
 
 def test_observation_domain_errors():
@@ -251,8 +255,11 @@ def test_decay_profile_shape_and_positivity():
     assert prof.shape == (33, 2)
     assert np.array_equal(prof[:, 0], grid)
     assert np.all(prof[:, 1] > 0.0)
-    with pytest.raises(DomainError):
-        decay_profile(wit.system, wit.xi, 0.0, grid)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            decay_profile(wit.system, wit.xi, bad, grid)
+        with pytest.raises(DomainError):
+            weiss_quotient(wit.system, wit.xi, bad, 1.0)
     with pytest.raises(DomainError):
         decay_profile(wit.system, wit.xi, 1.0, np.array([]))
     with pytest.raises(DomainError):

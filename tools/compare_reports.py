@@ -1,0 +1,74 @@
+"""Compare the full-report artifacts of two source trees, byte for byte.
+
+    python3 tools/compare_reports.py TREE_A TREE_B OUTDIR
+
+Runs `python -m weissbench.cli full-report` from each tree's `src/`, with
+BLAS pinned to one thread, at six configurations: the defaults, `--seed 7`,
+`--q 3`, `--q 8`, `--q 1e6` and `--q 1e9`. Artifacts go to
+OUTDIR/<configuration>/{a,b}; OUTDIR must be new or empty. Prints each
+configuration's two exit codes and every artifact that is missing from one
+side or differs, and exits 1 on any difference, 0 when every artifact and
+exit code agree. Standard library only; neither the package nor its tests
+import this script.
+"""
+import filecmp
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+CONFIGS = {
+    "defaults": [],
+    "seed-7": ["--seed", "7"],
+    "q-3": ["--q", "3"],
+    "q-8": ["--q", "8"],
+    "q-1e6": ["--q", "1e6"],
+    "q-1e9": ["--q", "1e9"],
+}
+
+
+def run_report(tree, args, outdir):
+    """Exit code of one full-report run of tree into outdir."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    env = dict(os.environ, PYTHONPATH=str(Path(tree, "src").resolve()),
+               OPENBLAS_NUM_THREADS="1")
+    return subprocess.run(
+        [sys.executable, "-m", "weissbench.cli", "full-report",
+         "--output-dir", str(outdir), *args],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        check=False).returncode
+
+
+def differing(dir_a, dir_b):
+    """Names of artifacts missing from one directory or unequal by bytes."""
+    names = sorted({p.name for p in dir_a.iterdir()}
+                   | {p.name for p in dir_b.iterdir()})
+    return [n for n in names
+            if not ((dir_a / n).is_file() and (dir_b / n).is_file()
+                    and filecmp.cmp(dir_a / n, dir_b / n, shallow=False))]
+
+
+def main(argv):
+    if len(argv) != 3:
+        sys.stderr.write(__doc__.split("\n\n")[1] + "\n")
+        return 2
+    tree_a, tree_b, out = argv[0], argv[1], Path(argv[2])
+    if out.exists() and any(out.iterdir()):
+        sys.stderr.write(f"{out} is not empty; give a new OUTDIR\n")
+        return 2
+    same = True
+    for name, args in CONFIGS.items():
+        dir_a, dir_b = out / name / "a", out / name / "b"
+        codes = run_report(tree_a, args, dir_a), run_report(tree_b, args,
+                                                              dir_b)
+        diff = differing(dir_a, dir_b)
+        same &= codes[0] == codes[1] and not diff
+        print(f"{name}: exit {codes[0]} / {codes[1]}, "
+              f"{len(list(dir_a.iterdir()))} artifacts, "
+              + (f"differ: {' '.join(diff)}" if diff else "all identical"))
+    print("identical" if same else "DIFFERENT")
+    return 0 if same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
