@@ -360,7 +360,7 @@ def _suite_bessel(args, outdir):
     return checks
 
 
-def _run_lorentz_norm(args, outdir):
+def _run_lorentz_norm(args):
     steps = lorentz.StepFunction.read_csv(args.input)
     value = lorentz.lorentz_norm(steps, (args.p, args.q))
     sys.stdout.write(format_cell(value) + "\n")
@@ -368,9 +368,9 @@ def _run_lorentz_norm(args, outdir):
 
 
 def run(args):
+    if args.command == "lorentz-norm":  # prints its norm, writes no file
+        return _run_lorentz_norm(args)
     outdir = _resolve_output_dir(args)
-    if args.command == "lorentz-norm":
-        return _run_lorentz_norm(args, outdir)
     _validate_window(args)
     if args.seed < 0:
         raise DomainError("seed must be a nonnegative integer")

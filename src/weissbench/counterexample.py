@@ -9,14 +9,15 @@ but not Besselian. Everything reduces to the quadrature and semigroup
 primitives; random draws use a documented 64-bit linear generator.
 """
 import math
+import numbers
 from typing import NamedTuple
 
 import numpy as np
 
 from ._kernels import powcos_panels
-from .errors import BoundViolated, DomainError, ToleranceNotMet
+from .errors import BoundViolated, DomainError
 from .lorentz import lorentz_norm, sample_steps
-from .quadrature import (_EPS, DEFAULT_SPEC, _halving_estimate,
+from .quadrature import (_EPS, DEFAULT_SPEC, _gate, _halving_estimate,
                          gamma_function, powcos_quadrature, singular_end,
                          singular_oscillatory_integral)
 from .semigroup import (CoefficientVector, DiagonalSystem, _integer,
@@ -52,9 +53,9 @@ class CounterexampleParams:
     __slots__ = ("q", "q_conj", "beta", "gamma")
 
     def __init__(self, q):
-        q = float(q)
-        if not (2.0 < q < math.inf):
+        if not (isinstance(q, numbers.Real) and 2.0 < q < math.inf):
             raise DomainError(f"q must lie in (2, inf), got {q}")
+        q = float(q)
         self.q = q
         self.q_conj = q / (q - 1.0)
         self.beta = 1.0 / (2.0 * self.q_conj)
@@ -368,21 +369,13 @@ class GramCache:
         g = 2.0 * params.beta + 1.0
         partial, est = period_table(g, max(dmax, 1), spec)
         scale = np.arange(1, dmax + 1, dtype=float) ** (-g)
-        value = scale * partial[:dmax]
-        est = scale * est[:dmax]
-        gate = spec.relative_tolerance * np.maximum(
-            np.abs(value), 0.01 * math.pi**g / g)
-        failed = np.flatnonzero(est > gate)
-        if failed.size:
-            d = int(failed[0]) + 1
-            raise ToleranceNotMet(
-                f"estimate {est[d - 1]:.3e} exceeds tolerance for Gram "
-                f"entry d={d}", value=2.0 * value[d - 1],
-                estimate=2.0 * est[d - 1])
+        value = 2.0 * (scale * partial[:dmax])
+        _gate(value, 2.0 * (scale * est[:dmax]), 0.02 * math.pi**g / g, spec,
+              lambda i: f"Gram entry d={i + 1}")
         self.params = params
         self.n_basis = n_basis
         self._nu = BasisIndexMap.frequencies(n_basis)
-        self._by_delta = 2.0 * np.concatenate(([math.pi**g / g], value))
+        self._by_delta = np.concatenate(([2.0 * math.pi**g / g], value))
 
     @property
     def diagonal(self):
@@ -399,6 +392,8 @@ class GramCache:
         n = x.size
         if x.ndim != 1 or not 1 <= n <= self.n_basis:
             raise DomainError(f"x must be 1-d, of length 1..{self.n_basis}")
+        if not np.isfinite(x).all():
+            raise DomainError("x must be finite")
         lattice = np.empty(n)
         lattice[self._nu[:n] + n // 2] = x
         size = 1 << (2 * n - 2).bit_length()  # a power of two >= 2n - 1
@@ -476,6 +471,7 @@ def hilbertian_constant_estimate(params, trials, N, seed=20259,
     """
     trials = _integer(trials, "trials", 1)
     N = _integer(N, "N", 1)
+    seed = _integer(seed, "seed")
     if gram is None:
         gram = GramCache(params, N, spec)
     _built_for(params, gram, "gram")

@@ -15,6 +15,7 @@ power of a value at most 1 and makes dyadic rescalings exactly equivariant.
 import csv
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,9 @@ class LorentzIndex:
     q: float
 
     def __post_init__(self):
+        if not all(isinstance(v, numbers.Real) for v in (self.p, self.q)):
+            raise DomainError(f"p and q must be real numbers, got "
+                              f"{self.p!r}, {self.q!r}")
         if not (self.p > 1.0 and math.isfinite(self.p)):
             raise DomainError(f"p must be a finite real > 1, got {self.p}")
         if not (self.q == math.inf or self.q >= 1.0):

@@ -8,12 +8,14 @@ panel at the singular end and a roundoff floor). Estimates are conservative by
 construction: refining the mesh moves results by less than the estimate.
 """
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._kernels import _NODES, GAUSS_ORDER, gauss_contributions, powcos_panels
 from .errors import DomainError, ToleranceNotMet
+from .semigroup import _integer
 
 __all__ = [
     "QuadratureSpec",
@@ -99,26 +101,27 @@ def _halving_estimate(contributions, edges, starts=(0,), panel_args=()):
 
 
 def _mesh_estimates(contributions, meshes, values):
-    """(fine value, estimate, fine abs sum) per mesh of the iterable meshes,
-    as lists; a mesh's panels take its entry of the array values, passed as
-    contributions(edges, per-panel values). Meshes join in order into runs
-    of at most MAX_PANELS panels, one halving pass a run (a mesh in the
-    budget alone makes one). The panel joining a mesh to the next takes its
-    value and is a discarded group of its own; the kernel sums a panel the
-    same wherever it sits, so a mesh's fine value and estimate are the ones
-    it has alone, bit for bit. One run's meshes are held at a time.
+    """(fine value, estimate, fine abs sum, first edge) per mesh of the
+    iterable meshes, as arrays; a mesh's panels take its entry of the array
+    values, passed as contributions(edges, per-panel values). Meshes join in
+    order into runs of at most MAX_PANELS panels, one halving pass a run (a
+    mesh in the budget alone makes one). The panel joining a mesh to the next
+    takes its value and is a discarded group of its own; the kernel sums a
+    panel the same wherever it sits, so a mesh's fine value and estimate are
+    the ones it has alone, bit for bit. One run's meshes are held at a time.
     """
-    out = [], [], []
+    parts = []
 
     def evaluate(run):
+        k = sum(part[0].size for part in parts)
         sizes = np.array([m.size for m in run])
         ends = np.cumsum(sizes)  # a mesh's joining panel is its end - 1
         starts = np.c_[ends - sizes, ends - 1].ravel()[:-1]  # last: no join
-        k = len(out[0])
-        for acc, v in zip(out, _halving_estimate(
-                contributions, np.concatenate(run), starts,
-                (values[k:k + len(run)].repeat(sizes)[:-1],))):
-            acc.extend(v[::2].tolist())
+        edges = np.concatenate(run)
+        parts.append([v[::2] for v in _halving_estimate(
+            contributions, edges, starts,
+            (values[k:k + len(run)].repeat(sizes)[:-1],))]
+            + [edges[ends - sizes]])
 
     run, panels = [], 0
     for m in meshes:
@@ -129,7 +132,25 @@ def _mesh_estimates(contributions, meshes, values):
         panels += m.size
     if run:
         evaluate(run)
-    return out
+    return [np.concatenate(c) for c in zip(*parts)] or [np.empty(0)] * 4
+
+
+def _gate(value, estimate, floor, spec, name):
+    """The one tolerance gate: each estimate must be at most tol * max(|value|,
+    floor), for value and estimate one number or arrays of one shape and
+    floor one number or one an entry; else ToleranceNotMet names name(i) of
+    the first failing entry i and carries its value and estimate. A NaN
+    fails. |value| is np.hypot, which rounds as abs(complex) does.
+    """
+    value, estimate = np.asarray(value), np.asarray(estimate)
+    gate = spec.relative_tolerance * np.maximum(
+        np.hypot(value.real, value.imag), floor)
+    failed = np.flatnonzero(~(estimate <= gate))
+    if failed.size:
+        i = int(failed[0])
+        v, e = value.flat[i].item(), estimate.flat[i].item()
+        raise ToleranceNotMet(f"estimate {e:.3e} exceeds tolerance for "
+                              f"{name(i)}", value=v, estimate=e)
 
 
 def singular_end(g, freq, L, cap, spec=DEFAULT_SPEC):
@@ -152,7 +173,7 @@ def powcos_quadrature(g, shift, freq, L, spec=DEFAULT_SPEC):
     singular_end's mesh, whose head joins the value and its bound the
     estimate, with 4 eps |head| for the rounding of h^g/g and of its
     addition: at small g the head, about 1/g, dwarfs the panels' abs sum.
-    No tolerance gate is applied; callers compare against their own scale.
+    No tolerance gate is applied; callers pass it to _gate with their floor.
     """
     shifts = np.asarray(shift, dtype=float)
     zero = shifts.reshape(-1) == 0.0
@@ -160,11 +181,11 @@ def powcos_quadrature(g, shift, freq, L, spec=DEFAULT_SPEC):
     end, head, bound = (singular_end(g, freq, L, cap, spec) if zero.any()
                         else (None, 0.0, 0.0))
     plain = None if zero.all() else _graded_mesh(L, cap, None)
-    fine, est, _ = _mesh_estimates(
+    fine, est, _, _ = _mesh_estimates(
         lambda e, c: powcos_panels(g, c, freq, e),
         (end if z else plain for z in zero.tolist()), shifts.reshape(-1))
-    value = np.array(fine) + head * zero
-    est = np.array(est) + (bound + 4.0 * _EPS * head) * zero
+    value = fine + head * zero
+    est = est + (bound + 4.0 * _EPS * head) * zero
     return (value.item(), est.item()) if shifts.ndim == 0 else (value, est)
 
 
@@ -181,16 +202,12 @@ def singular_oscillatory_integral(gamma_exp, n, spec=DEFAULT_SPEC):
 
 def singular_oscillatory_detail(gamma_exp, n, spec=DEFAULT_SPEC):
     """Same as singular_oscillatory_integral but returns (value, estimate)."""
-    if not 0.0 < gamma_exp <= 2.0:
+    if not (isinstance(gamma_exp, numbers.Real) and 0.0 < gamma_exp <= 2.0):
         raise DomainError(f"gamma_exp must lie in (0, 2], got {gamma_exp}")
-    if not (math.isfinite(n) and n == int(n) and n >= 0):
-        raise DomainError(f"n must be a nonnegative integer, got {n}")
+    n = _integer(n, "n", 0)
     value, est = powcos_quadrature(gamma_exp, 0.0, float(n), math.pi, spec)
-    scale = math.pi**gamma_exp / gamma_exp
-    if est > spec.relative_tolerance * max(abs(value), 0.01 * scale):
-        raise ToleranceNotMet(
-            f"estimate {est:.3e} exceeds tolerance for gamma_exp={gamma_exp}, "
-            f"n={n}", value=value, estimate=est)
+    _gate(value, est, 0.01 * (math.pi**gamma_exp / gamma_exp), spec,
+          lambda i: f"gamma_exp={gamma_exp}, n={n}")
     return value, est
 
 
@@ -234,15 +251,10 @@ def laplace_quadrature(orbit, lam, spec=DEFAULT_SPEC, *, T, decay):
             f"decay needs finite M >= 0 and alpha in [0, 1), got {decay}")
     g = 1.0 - alpha
     hscale = (1e-8 * spec.relative_tolerance) ** (1.0 / g)
-    points = list(zip(lams.tolist(), Ts.tolist()))
-    heads = []
-
-    def meshes():
-        for z, t in points:
-            cap = min(math.pi / max(abs(z.imag), 1e-300), 0.5 / z.real, t / 4.0)
-            m = _graded_mesh(t, cap, hscale * min(t, 1.0 / abs(z)))
-            heads.append(float(m[0]))  # the mesh starts at its h
-            yield m
+    caps = np.min((math.pi / np.maximum(np.abs(lams.imag), 1e-300),
+                   0.5 / lams.real, Ts / 4.0), axis=0)
+    # |lam| by hypot, which rounds as abs() does; np.abs may not
+    hmins = hscale * np.minimum(Ts, 1.0 / np.hypot(lams.real, lams.imag))
 
     def integrand(s, m, h2, neg_lam):
         # exp(-lam s) at the nodes m -/+ h2 x of a panel, x > 0, is
@@ -264,13 +276,10 @@ def laplace_quadrature(orbit, lam, spec=DEFAULT_SPEC, *, T, decay):
         z *= np.asarray(orbit(s.ravel())).reshape(s.shape)
         return z
 
-    values, est, abssum = _mesh_estimates(
+    values, est, abssum, heads = _mesh_estimates(
         lambda e, neg_lam: gauss_contributions(integrand, e, neg_lam),
-        meshes(), -lams)
-    for (z, t), h, value, e, a in zip(points, heads, values, est, abssum):
-        e += M * h ** g / g
-        if e > spec.relative_tolerance * max(abs(value), 0.01 * a):
-            raise ToleranceNotMet(
-                f"estimate {e:.3e} exceeds tolerance for lambda={z}, "
-                f"T={t}", value=value, estimate=e)
-    return values[0] if one else np.array(values)
+        map(_graded_mesh, Ts.tolist(), caps.tolist(), hmins.tolist()), -lams)
+    est += [M * h ** g / g for h in heads.tolist()]  # a mesh starts at its h
+    _gate(values, est, 0.01 * abssum, spec,
+          lambda i: f"lambda={lams[i].item()}, T={Ts[i].item()}")
+    return values[0].item() if one else values

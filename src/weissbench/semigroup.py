@@ -13,6 +13,7 @@ truncation, which does not depend on the point, is certified once per
 (system, coefficients, tolerance) and kept on the coefficient vector.
 """
 import math
+import numbers
 from typing import NamedTuple
 
 import numpy as np
@@ -340,7 +341,14 @@ def lambda_grid(n_moduli=25, n_args=17, mod_min=1e-4, mod_max=1e8):
 
     Log-spaced moduli, arguments uniform on (-pi/2 + 0.01, pi/2 - 0.01), so
     every point has positive real part; returned flattened, moduli-major.
+    The moduli must be finite and positive, the counts integers >= 1.
     """
+    n_moduli = _integer(n_moduli, "n_moduli", 1)
+    n_args = _integer(n_args, "n_args", 1)
+    if not all(isinstance(m, numbers.Real) and 0.0 < m < math.inf
+               for m in (mod_min, mod_max)):
+        raise DomainError("lambda_grid needs finite positive moduli, got "
+                          f"{mod_min}, {mod_max}")
     mods = np.logspace(math.log10(mod_min), math.log10(mod_max), n_moduli)
     args = np.linspace(-math.pi / 2 + 0.01, math.pi / 2 - 0.01, n_args)
     grid = mods[:, None] * np.exp(1j * args[None, :])

@@ -85,6 +85,21 @@ def test_lorentz_norm_weak_index(tmp_path, capsys):
         pytest.approx(0.7**0.5, rel=1e-12)
 
 
+@pytest.mark.parametrize("existing", [False, True],
+                         ids=["new-nested-dir", "a-file"])
+def test_lorentz_norm_leaves_output_dir_alone(tmp_path, capsys, existing):
+    # the command writes no file, so it neither creates nor checks the dir
+    path = indicator_csv(tmp_path)
+    out = tmp_path / "out"
+    if existing:
+        out.write_text("not a directory")
+    target = out if existing else out / "sub"
+    code = main(["lorentz-norm", "--input", path, "--output-dir", str(target)])
+    assert code == EXIT_OK
+    assert out.is_file() if existing else not out.exists()
+    assert float(capsys.readouterr().out) > 0.0
+
+
 def test_lorentz_norm_missing_input_is_io_error(tmp_path, capsys):
     code = main(["lorentz-norm", "--input", str(tmp_path / "absent.csv"),
                  "--output-dir", str(tmp_path)])

@@ -8,8 +8,8 @@ import pytest
 from oracle_values import GRAM_FORM_REF, PERIOD_REF, POWCOS_REF, XI_LIMIT
 from weissbench import (BasisIndexMap, BoundViolated, CoefficientVector,
                         CounterexampleParams, DiagonalSystem, DomainError,
-                        GramCache, XiTable, bessel_failure_witness,
-                        divergence_profile, envelope,
+                        GramCache, LorentzIndex, XiTable,
+                        bessel_failure_witness, divergence_profile, envelope,
                         hilbertian_constant_estimate, orbit_lower_bound_check,
                         state_norm, witness_system, xi_asymptotic,
                         xi_coefficient)
@@ -22,7 +22,7 @@ from weissbench.errors import ToleranceNotMet
 from weissbench.quadrature import (DEFAULT_SPEC, QuadratureSpec,
                                    laplace_quadrature, powcos_quadrature,
                                    singular_oscillatory_integral)
-from weissbench.semigroup import (log_grid, orbit_callable,
+from weissbench.semigroup import (lambda_grid, log_grid, orbit_callable,
                                   orbit_decay_bound, resolvent_observation)
 
 
@@ -154,6 +154,27 @@ NAN, INF = math.nan, math.inf
 def test_malformed_counts_raise_domain_error(p4, gram4, table4, call):
     with pytest.raises(DomainError):
         call(p4, gram4, table4)
+
+
+@pytest.mark.parametrize("call", [
+    lambda p, g: singular_oscillatory_integral(0.25, "3"),
+    lambda p, g: singular_oscillatory_integral(0.25, None),
+    lambda p, g: singular_oscillatory_integral("0.5", 3),
+    lambda p, g: CounterexampleParams("x"),
+    lambda p, g: CounterexampleParams(None),
+    lambda p, g: LorentzIndex("a", 2),
+    lambda p, g: LorentzIndex(2, None),
+    lambda p, g: lambda_grid(mod_min=0),
+    lambda p, g: lambda_grid(mod_max=INF),
+    lambda p, g: lambda_grid(n_moduli=1.5),
+    lambda p, g: hilbertian_constant_estimate(p, 2, 4, seed=1.5, gram=g),
+], ids=["n-string", "n-none", "gamma-string", "q-string", "q-none",
+        "p-string", "lorentz-q-none", "mod-min-zero", "mod-max-inf",
+        "moduli-fraction", "seed-fraction"])
+def test_malformed_input_raises_domain_error(p4, gram4, call):
+    # each raised TypeError or ValueError before
+    with pytest.raises(DomainError):
+        call(p4, gram4)
 
 
 def test_xi_table_smallest_sizes(p4):
@@ -505,7 +526,9 @@ def test_gram_cache_validation(p4, gram4):
         with pytest.raises(DomainError):
             GramCache(p4, bad)
     assert GramCache(p4, 3000).n_basis == 3000  # no size cap
-    for bad in (np.empty(0), np.ones((2, 2)), np.ones(65)):
+    # a NaN or infinite x used to come back as a nan form
+    for bad in (np.empty(0), np.ones((2, 2)), np.ones(65), [NAN] * 4,
+                [1.0, INF, 0.0], [0.0, -INF]):
         with pytest.raises(DomainError):
             gram4.quadratic_form(bad)
 

@@ -484,6 +484,25 @@ def test_laplace_point_and_shape_checks():
             laplace_quadrature(never_called, lam, T=T, decay=(1.0, 0.0))
 
 
+def test_laplace_meshes_take_the_one_point_expressions(monkeypatch):
+    # caps and h bounds are arrays; |lam| by np.hypot rounds as abs() does
+    # (np.abs of a complex may not), so every mesh is the one the scalar
+    # expressions give, bit for bit
+    rng = np.random.default_rng(5)
+    mods, args = rng.uniform(0.01, 30.0, 200), rng.uniform(-1.5, 1.5, 200)
+    lams = mods * np.exp(1j * args)
+    lams[::5] = lams[::5].real
+    Ts = rng.uniform(0.1, 5.0, 200)
+    seen, real = [], quadrature._graded_mesh
+    monkeypatch.setattr(quadrature, "_graded_mesh",
+                        lambda *a: seen.append(a) or real(*a))
+    laplace_quadrature(np.ones_like, lams, T=Ts, decay=(1.0, 0.0))
+    hscale = 1e-8 * quadrature.DEFAULT_SPEC.relative_tolerance  # alpha = 0
+    assert seen == [(t, min(math.pi / max(abs(z.imag), 1e-300), 0.5 / z.real,
+                            t / 4.0), hscale * min(t, 1.0 / abs(z)))
+                    for z, t in zip(lams.tolist(), Ts.tolist())]
+
+
 def test_laplace_batch_failure_names_its_point():
     # 12-point panels up to half a period of lam resolve cos(1e4 t) at
     # lam = 1 + 1e4 j, and not at lam = 1 and 2
@@ -498,6 +517,24 @@ def test_laplace_batch_failure_names_its_point():
     assert str(batch.value) == str(single.value)
     assert batch.value.value == single.value.value
     assert batch.value.estimate == single.value.estimate
+
+
+def test_singular_detail_gate_carries_the_route_numbers():
+    # at tol 1e-12 the n = 8 estimate exceeds the gate well inside the
+    # panel budget: the gate raises, not _graded_mesh
+    tight = QuadratureSpec(relative_tolerance=1e-12)
+    value, est = powcos_quadrature(1.75, 0.0, 8.0, math.pi, tight)
+    with pytest.raises(ToleranceNotMet, match=r"^estimate .* exceeds "
+                       r"tolerance for gamma_exp=1\.75, n=8$") as exc:
+        singular_oscillatory_detail(1.75, 8, tight)
+    assert exc.value.value == value and exc.value.estimate == est
+
+
+def test_gate_rejects_nan():
+    # a NaN estimate is no certificate: the gate fails it
+    nan = lambda t: np.full_like(t, math.nan)
+    with pytest.raises(ToleranceNotMet, match=r"lambda=\(1\+0j\), T=20\.0$"):
+        laplace_quadrature(nan, 1.0, T=20.0, decay=(1.0, 0.0))
 
 
 def test_tolerance_not_met_carries_diagnostics():
