@@ -11,15 +11,14 @@ from .errors import (BoundViolated, DivergentSum, DomainError,
 from .lorentz import (LorentzIndex, StepFunction, decreasing_rearrangement,
                       distribution_function, holder_pairing, lorentz_norm,
                       sample_steps)
-from .quadrature import (DEFAULT_SPEC, QuadratureSpec, gamma_function,
-                         laplace_quadrature, singular_oscillatory_integral)
+from .quadrature import (DEFAULT_SPEC, QuadratureSpec, laplace_quadrature,
+                         singular_oscillatory_integral)
 from .semigroup import (CoefficientVector, DiagonalSystem, decay_profile,
                         orbit_observation, resolvent_observation,
                         weiss_norm_orthonormal, weiss_quotient)
 from .counterexample import (BasisIndexMap, CounterexampleParams, GramCache,
                              XiTable, bessel_failure_witness,
-                             divergence_profile, envelope,
-                             hilbertian_constant_estimate,
+                             divergence_profile, hilbertian_constant_estimate,
                              orbit_lower_bound_check, state_norm,
                              witness_system, xi_asymptotic, xi_coefficient)
 
@@ -31,13 +30,13 @@ __all__ = [
     "LorentzIndex", "StepFunction", "distribution_function",
     "decreasing_rearrangement", "lorentz_norm", "holder_pairing",
     "sample_steps",
-    "QuadratureSpec", "DEFAULT_SPEC", "gamma_function",
+    "QuadratureSpec", "DEFAULT_SPEC",
     "singular_oscillatory_integral", "laplace_quadrature",
     "DiagonalSystem", "CoefficientVector", "orbit_observation",
     "resolvent_observation", "weiss_quotient", "weiss_norm_orthonormal",
     "decay_profile",
     "CounterexampleParams", "BasisIndexMap", "XiTable", "GramCache",
-    "xi_coefficient", "xi_asymptotic", "envelope", "state_norm",
+    "xi_coefficient", "xi_asymptotic", "state_norm",
     "witness_system", "divergence_profile", "orbit_lower_bound_check",
     "bessel_failure_witness", "hilbertian_constant_estimate",
 ]

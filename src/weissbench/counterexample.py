@@ -9,19 +9,18 @@ but not Besselian. Everything reduces to the quadrature and semigroup
 primitives; random draws use a documented 64-bit linear generator.
 """
 import math
-import numbers
 from typing import NamedTuple
 
 import numpy as np
 
 from ._kernels import powcos_panels
-from .errors import BoundViolated, DomainError
+from .errors import BoundViolated, DomainError, _integer, _real
 from .lorentz import lorentz_norm, sample_steps
 from .quadrature import (_EPS, DEFAULT_SPEC, _gate, _halving_estimate,
-                         gamma_function, powcos_quadrature, singular_end,
+                         powcos_quadrature, singular_end,
                          singular_oscillatory_integral)
-from .semigroup import (CoefficientVector, DiagonalSystem, _integer,
-                        log_grid, orbit_callable, orbit_observation)
+from .semigroup import (CoefficientVector, DiagonalSystem, log_grid,
+                        orbit_callable, orbit_observation)
 
 __all__ = [
     "CounterexampleParams",
@@ -31,7 +30,6 @@ __all__ = [
     "XiTable",
     "xi_asymptotic",
     "xi_period_decomposition",
-    "envelope",
     "envelope_power_q",
     "envelope_norm_q",
     "state_norm",
@@ -53,9 +51,9 @@ class CounterexampleParams:
     __slots__ = ("q", "q_conj", "beta", "gamma")
 
     def __init__(self, q):
-        if not (isinstance(q, numbers.Real) and 2.0 < q < math.inf):
+        q = _real(q, "q")
+        if not 2.0 < q < math.inf:
             raise DomainError(f"q must lie in (2, inf), got {q}")
-        q = float(q)
         self.q = q
         self.q_conj = q / (q - 1.0)
         self.beta = 1.0 / (2.0 * self.q_conj)
@@ -86,17 +84,6 @@ class BasisIndexMap:
     """
 
     @staticmethod
-    def frequency(k):
-        k = _integer(k, "index", 0)
-        m = (k + 1) // 2
-        return -m if k % 2 == 1 else m
-
-    @staticmethod
-    def index(nu):
-        nu = _integer(nu, "frequency")
-        return -2 * nu - 1 if nu < 0 else (2 * nu if nu > 0 else 0)
-
-    @staticmethod
     def frequencies(n):
         """First n frequencies as an int array."""
         k = np.arange(n)
@@ -117,7 +104,7 @@ def xi_asymptotic(n, params):
     """Leading term (1/pi) n^(-gamma) cos(gamma pi/2) Gamma(gamma)."""
     n = _integer(n, "n", 1)
     g = params.gamma
-    return n ** (-g) * math.cos(0.5 * math.pi * g) * gamma_function(g) / math.pi
+    return n ** (-g) * math.cos(0.5 * math.pi * g) * math.gamma(g) / math.pi
 
 
 def period_table(g, kmax, spec=DEFAULT_SPEC):
@@ -132,7 +119,7 @@ def period_table(g, kmax, spec=DEFAULT_SPEC):
     cancellation of increments growing like k^(g-1) into F(k pi) ~ k^(g-2).
     """
     kmax = _integer(kmax, "kmax", 1)
-    if not 0.0 < g <= 2.0:
+    if not 0.0 < _real(g, "g") <= 2.0:
         raise DomainError(f"need g in (0, 2], got {g}")
     first, head, bound = singular_end(g, 1.0, math.pi, 0.5 * math.pi, spec)
     edges = np.append(first, 0.5 * math.pi * np.arange(3, 2 * kmax + 1))
@@ -203,15 +190,6 @@ def xi_period_decomposition(n, params, spec=DEFAULT_SPEC):
                              2.0 * math.pi, spec)[0]
 
 
-def envelope(t, params):
-    """(1 + |log t|)^(-1/q) t^(-1/2), the orbit's decay envelope."""
-    t = np.asarray(t, dtype=float)
-    if not np.all(t > 0.0):
-        raise DomainError("envelope needs t > 0")
-    value = (1.0 + np.abs(np.log(t))) ** (-1.0 / params.q) / np.sqrt(t)
-    return float(value) if value.ndim == 0 else value
-
-
 def envelope_power_q(eps, tau):
     """Closed-form q-th power of the envelope's Lorentz (2, q) norm.
 
@@ -219,7 +197,7 @@ def envelope_power_q(eps, tau):
     integrand (t^(1/2) f(t))^q dt/t is exactly d log(1+log(1/t)). Divergence
     as eps shrinks is this expression's affine growth in log(1+log(1/eps)).
     """
-    if not 0.0 < eps < tau <= 1.0:
+    if not 0.0 < _real(eps, "eps") < _real(tau, "tau") <= 1.0:
         raise DomainError("need 0 < eps < tau <= 1")
     # -log(x), not log(1/x): 1/x overflows for a subnormal x
     return math.log((1.0 - math.log(eps)) / (1.0 - math.log(tau)))
@@ -258,24 +236,21 @@ def witness_system(params, n_modes=60, spec=DEFAULT_SPEC):
     return WitnessSystem(system, xi, state_norm(params), table)
 
 
-def divergence_profile(params, eps_list, tau=1.0, witness=None,
-                       per_decade=64, spec=DEFAULT_SPEC):
+def divergence_profile(params, eps_list, tau=1.0, *, witness, per_decade=64):
     """Norm growth table over shrinking left endpoints.
 
     Columns: eps, closed-form envelope Lorentz (2,q) norm, sampled-orbit
     Lorentz (2,q) norm, sampled-orbit weak-L2 norm, all over (eps, tau).
     The weak column stabilizes while both (2,q) columns diverge like
-    log(1+log(1/eps))^(1/q): the quantitative endpoint separation. A
-    given witness must be built for params.q.
+    log(1+log(1/eps))^(1/q): the quantitative endpoint separation. The
+    witness must be built for params.q.
     """
-    eps_arr = np.asarray(eps_list, dtype=float)
+    eps_arr = np.array([_real(e, "eps") for e in eps_list], dtype=float)
     if eps_arr.size == 0 or not np.all(np.diff(eps_arr) < 0.0):
         raise DomainError("eps_list must be strictly decreasing")
     if not (np.all(eps_arr > 0.0) and np.all(eps_arr < tau) and tau <= 1.0):
         raise DomainError("need 0 < eps < tau <= 1 for every eps")
     per_decade = _integer(per_decade, "per_decade", 64)
-    if witness is None:
-        witness = witness_system(params, spec=spec)
     _built_for(params, witness.table, "witness")
     orbit = orbit_callable(witness.system, witness.xi)
     out = np.empty((eps_arr.size, 4))
@@ -297,23 +272,19 @@ class LowerBoundReport(NamedTuple):
 
 
 def orbit_lower_bound_check(params, n_range, samples_per_interval,
-                            tail_tolerance=1e-9, witness=None,
-                            spec=DEFAULT_SPEC):
+                            tail_tolerance=1e-9, *, witness):
     """Certify orbit(t) >= xi_n 2^n e^{-1} on each interval [4^{-n-1}, 4^{-n}).
 
     The bound keeps only the k = n mode, whose exponent stays above e^{-1}
     there; nonnegativity of every other term makes it a lower bound. Slack
     below -tail_tolerance raises BoundViolated naming the offending (n, t).
-    A given witness must be built for params.q, with more than n_hi
-    active modes.
+    The witness must be built for params.q, with more than n_hi active
+    modes.
     """
     n_lo, n_hi = (_integer(n_range[i], "n_range", 0) for i in (0, 1))
     if not n_lo <= n_hi:
         raise DomainError("n_range must be 0 <= lo <= hi")
     per = _integer(samples_per_interval, "samples_per_interval", 1)
-    if witness is None:
-        witness = witness_system(params, n_modes=max(2 * (n_hi + 1), 60),
-                                 spec=spec)
     _built_for(params, witness.table, "witness")
     if n_hi >= witness.system.n_active:
         raise DomainError(f"n_hi={n_hi} needs a witness with more than "
@@ -345,7 +316,9 @@ def gram_entry(j, k, params, spec=DEFAULT_SPEC):
     real by the symmetric domain, so the complex return carries zero
     imaginary part; the exponent 2 beta + 1 lies in (3/2, 2).
     """
-    delta = abs(BasisIndexMap.frequency(j) - BasisIndexMap.frequency(k))
+    j, k = _integer(j, "j", 0), _integer(k, "k", 0)
+    nu = BasisIndexMap.frequencies(max(j, k) + 1)
+    delta = abs(int(nu[j]) - int(nu[k]))
     value = 2.0 * singular_oscillatory_integral(2.0 * params.beta + 1.0,
                                                 delta, spec)
     return complex(value)
@@ -403,21 +376,19 @@ class GramCache:
         return float(g[0] * r[0] + 2.0 * (g[1:] @ r[1:]))
 
 
-def bessel_failure_witness(params, N_list, spec=DEFAULT_SPEC, gram=None,
+def bessel_failure_witness(params, N_list, spec=DEFAULT_SPEC, *, gram,
                            table=None):
     """Table (N, sum of xi_k^2, quadratic form xi* G xi) over k < N.
 
     The coefficient column grows like N^(1 - 2/q) while the quadratic form
     converges to the squared state norm: their ratio diverges, refuting any
-    lower frame constant. A given gram or table must be built for params.q.
+    lower frame constant. gram and a given table must be built for params.q.
     """
     sizes = [_integer(N, "N", 1) for N in N_list]
     if not sizes or any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise DomainError("N_list must be strictly increasing positive ints")
     n_max = sizes[-1]
     need = (n_max + 1) // 2 + 1  # entries of a table covering k < n_max
-    if gram is None:
-        gram = GramCache(params, n_max, spec)
     if table is None:
         table = XiTable(params, need, spec)
     _built_for(params, gram, "gram")
@@ -460,20 +431,17 @@ def _lcg_uniform(seed, count):
     return (states.reshape(-1)[:count] >> 11) / float(1 << 53)
 
 
-def hilbertian_constant_estimate(params, trials, N, seed=20259,
-                                 spec=DEFAULT_SPEC, gram=None):
+def hilbertian_constant_estimate(params, trials, N, seed=20259, *, gram):
     """Max over random draws of (a* G a)^(1/2) / (sum a_k^2)^(1/2).
 
     Coefficients are uniform on [-1, 1] from the documented linear
     generator; the statistic lower-bounds the upper frame constant and
-    stays bounded as N grows because the basis is Hilbertian. A given gram
-    must be built for params.q.
+    stays bounded as N grows because the basis is Hilbertian. gram must be
+    built for params.q.
     """
     trials = _integer(trials, "trials", 1)
     N = _integer(N, "N", 1)
     seed = _integer(seed, "seed")
-    if gram is None:
-        gram = GramCache(params, N, spec)
     _built_for(params, gram, "gram")
     draws = 2.0 * _lcg_uniform(seed, trials * N).reshape(trials, N) - 1.0
     return max(math.sqrt(gram.quadratic_form(a) / (a @ a)) for a in draws)

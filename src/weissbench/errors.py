@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checks raising them."""
+import numbers
 
 
 class WeissbenchError(Exception):
@@ -33,6 +34,26 @@ class BoundViolated(WeissbenchError):
         super().__init__(message)
         self.n = n
         self.t = t
+
+
+def _integer(value, name, low=None):
+    """value as an int: an integer or an integral float of at least low;
+    anything else (NaN, infinities, fractions) raises DomainError."""
+    try:
+        ok = value == int(value) and (low is None or value >= low)
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        bound = "" if low is None else f" >= {low}"
+        raise DomainError(f"{name} must be an integer{bound}, got {value!r}")
+    return int(value)
+
+
+def _real(value, name):
+    """value as a float if it is a real number, else DomainError."""
+    if not isinstance(value, numbers.Real):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 EXIT_OK = 0

@@ -15,12 +15,11 @@ power of a value at most 1 and makes dyadic rescalings exactly equivariant.
 import csv
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _real
 
 __all__ = [
     "LorentzIndex",
@@ -41,12 +40,10 @@ class LorentzIndex:
     q: float
 
     def __post_init__(self):
-        if not all(isinstance(v, numbers.Real) for v in (self.p, self.q)):
-            raise DomainError(f"p and q must be real numbers, got "
-                              f"{self.p!r}, {self.q!r}")
-        if not (self.p > 1.0 and math.isfinite(self.p)):
+        p, q = _real(self.p, "p"), _real(self.q, "q")
+        if not (p > 1.0 and math.isfinite(p)):
             raise DomainError(f"p must be a finite real > 1, got {self.p}")
-        if not (self.q == math.inf or self.q >= 1.0):
+        if not (q == math.inf or q >= 1.0):
             raise DomainError(f"q must be >= 1 or inf, got {self.q}")
 
 

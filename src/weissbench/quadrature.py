@@ -8,21 +8,18 @@ panel at the singular end and a roundoff floor). Estimates are conservative by
 construction: refining the mesh moves results by less than the estimate.
 """
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._kernels import _NODES, GAUSS_ORDER, gauss_contributions, powcos_panels
-from .errors import DomainError, ToleranceNotMet
-from .semigroup import _integer
+from .errors import DomainError, ToleranceNotMet, _integer, _real
 
 __all__ = [
     "QuadratureSpec",
     "DEFAULT_SPEC",
     "GAUSS_ORDER",
     "MAX_PANELS",
-    "gamma_function",
     "singular_oscillatory_integral",
     "singular_oscillatory_detail",
     "laplace_quadrature",
@@ -42,18 +39,12 @@ class QuadratureSpec:
     relative_tolerance: float = 1e-10
 
     def __post_init__(self):
-        if not 1e-14 <= self.relative_tolerance <= 1e-2:
+        tol = _real(self.relative_tolerance, "relative_tolerance")
+        if not 1e-14 <= tol <= 1e-2:
             raise DomainError("relative_tolerance must lie in [1e-14, 1e-2]")
 
 
 DEFAULT_SPEC = QuadratureSpec()
-
-
-def gamma_function(x):
-    """Gamma function on (0, 2], relative error below 1e-12."""
-    if not (isinstance(x, (int, float)) and 0.0 < x <= 2.0):
-        raise DomainError(f"gamma_function is defined on (0, 2], got {x}")
-    return math.gamma(x)
 
 
 def _graded_mesh(L, cap, hmin):
@@ -202,7 +193,8 @@ def singular_oscillatory_integral(gamma_exp, n, spec=DEFAULT_SPEC):
 
 def singular_oscillatory_detail(gamma_exp, n, spec=DEFAULT_SPEC):
     """Same as singular_oscillatory_integral but returns (value, estimate)."""
-    if not (isinstance(gamma_exp, numbers.Real) and 0.0 < gamma_exp <= 2.0):
+    gamma_exp = _real(gamma_exp, "gamma_exp")
+    if not 0.0 < gamma_exp <= 2.0:
         raise DomainError(f"gamma_exp must lie in (0, 2], got {gamma_exp}")
     n = _integer(n, "n", 0)
     value, est = powcos_quadrature(gamma_exp, 0.0, float(n), math.pi, spec)

@@ -13,12 +13,12 @@ truncation, which does not depend on the point, is certified once per
 (system, coefficients, tolerance) and kept on the coefficient vector.
 """
 import math
-import numbers
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DivergentSum, DomainError, TruncationOverflow
+from .errors import (DivergentSum, DomainError, TruncationOverflow, _integer,
+                     _real)
 
 __all__ = [
     "DiagonalSystem",
@@ -47,20 +47,6 @@ def _upper_half_ratio(terms):
         ratios = half[1:] / half[:-1]
     ratios = ratios[np.isfinite(ratios) & (half[:-1] > 0.0)]
     return float(np.max(ratios)) if ratios.size else 0.0
-
-
-def _integer(value, name, low=None):
-    """value as an int: an integer, or an integral float, of at least low;
-    anything else (NaN, infinities and fractions included) raises
-    DomainError."""
-    try:
-        ok = value == int(value) and (low is None or value >= low)
-    except (TypeError, ValueError, OverflowError):
-        ok = False
-    if not ok:
-        bound = "" if low is None else f" >= {low}"
-        raise DomainError(f"{name} must be an integer{bound}, got {value!r}")
-    return int(value)
 
 
 def _freeze(obj, **slots):
@@ -127,7 +113,7 @@ class CoefficientVector:
         v = np.array(values, dtype=float)
         if v.ndim != 1 or v.size == 0 or not np.all(np.isfinite(v)):
             raise DomainError("coefficients must be a finite 1-d float array")
-        if not tail_sup >= 0.0:
+        if not _real(tail_sup, "tail_sup") >= 0.0:
             raise DomainError("tail_sup must be >= 0")
         _freeze(self, values=v, tail_sup=float(tail_sup), _resolvent=None)
 
@@ -154,7 +140,7 @@ def _certified_counts(abs_terms, weights, tail_sup, tol, what):
     counts and those tails are returned. weights holds a row for every row
     of abs_terms, or one shared by all.
     """
-    if not tol > 0.0:
+    if not _real(tol, "tol") > 0.0:
         raise DomainError("tol must be positive")
     beyond = np.zeros(len(weights))
     if tail_sup > 0.0:
@@ -294,7 +280,7 @@ def orbit_decay_bound(sys, xi, alpha):
 
 def weiss_quotient(sys, xi, x_norm, lam, tol=1e-12):
     """Re(lam)^(1/2) |resolvent observation| / x_norm, at lam or over it."""
-    if not 0.0 < x_norm < math.inf:
+    if not 0.0 < _real(x_norm, "x_norm") < math.inf:
         raise DomainError(f"x_norm must be positive and finite, got {x_norm}")
     value = resolvent_observation(sys, xi, lam, tol).value
     lam = np.asarray(lam, dtype=complex)  # validated by the call above
@@ -323,14 +309,15 @@ def weiss_norm_orthonormal(sys, lam, tol):
 
 def decay_profile(sys, xi, x_norm, t_grid, tol=1e-12):
     """Samples (t, t^(1/2) |orbit(t)| / x_norm) over a positive grid."""
-    if not 0.0 < x_norm < math.inf:
+    if not 0.0 < _real(x_norm, "x_norm") < math.inf:
         raise DomainError(f"x_norm must be positive and finite, got {x_norm}")
     orbit = orbit_observation(sys, xi, t_grid, tol).value
     return np.column_stack([t_grid, np.sqrt(t_grid) * np.abs(orbit) / x_norm])
 
 
 def decay_norm_orthonormal(sys, t_grid):
-    """t^(1/2) * l2 norm of (c_k exp(-mu_k t)): operator decay samples."""
+    """t^(1/2) * l2 norm of (c_k exp(-mu_k t)) over the active modes: operator
+    decay samples with no tail certificate (ROADMAP item 4)."""
     t_grid, _ = _points(t_grid, float, "t_grid")
     sq = np.exp(-2.0 * np.outer(t_grid, sys.mu)) @ sys.c**2
     return np.sqrt(t_grid) * np.sqrt(sq)
@@ -345,7 +332,7 @@ def lambda_grid(n_moduli=25, n_args=17, mod_min=1e-4, mod_max=1e8):
     """
     n_moduli = _integer(n_moduli, "n_moduli", 1)
     n_args = _integer(n_args, "n_args", 1)
-    if not all(isinstance(m, numbers.Real) and 0.0 < m < math.inf
+    if not all(0.0 < _real(m, "modulus") < math.inf
                for m in (mod_min, mod_max)):
         raise DomainError("lambda_grid needs finite positive moduli, got "
                           f"{mod_min}, {mod_max}")
@@ -357,7 +344,7 @@ def lambda_grid(n_moduli=25, n_args=17, mod_min=1e-4, mod_max=1e8):
 
 def log_grid(lo, hi, per_decade=64):
     """Log-spaced points from lo to hi, at least per_decade to a decade."""
-    if not 0.0 < lo < hi < math.inf:
+    if not 0.0 < _real(lo, "lo") < _real(hi, "hi") < math.inf:
         raise DomainError(f"log_grid needs 0 < lo < hi finite, got {lo}, {hi}")
     per_decade = _integer(per_decade, "per_decade", 1)
     # hi / lo overflows for a subnormal lo; the difference of logs does not

@@ -214,8 +214,10 @@ def test_criterion_5_coefficient_positivity(criterion):
 
 def test_criterion_6_orbit_lower_bound(criterion):
     with criterion("criterion-6-orbit-lower-bound") as rec:
-        report = orbit_lower_bound_check(CounterexampleParams(4.0), (0, 20),
-                                         8, tail_tolerance=1e-9)
+        params = CounterexampleParams(4.0)
+        report = orbit_lower_bound_check(params, (0, 20), 8,
+                                         tail_tolerance=1e-9,
+                                         witness=witness_system(params))
         ok = report.worst_slack >= -1e-9
         rec(ok, f"worst slack {report.worst_slack:.3e} at n={report.worst_n} "
                 f"over {report.samples} samples (>= -1e-9)")
@@ -228,7 +230,8 @@ def test_criterion_7_endpoint_dichotomy(criterion):
     with criterion("criterion-7-endpoint-dichotomy") as rec:
         params = CounterexampleParams(4.0)
         eps_list = [1e-2, 1e-4, 1e-6, 1e-8]
-        profile = divergence_profile(params, eps_list)
+        profile = divergence_profile(params, eps_list,
+                                     witness=witness_system(params))
         weak = profile[:, 3]
         weak_change = abs(weak[-1] - weak[-2]) / weak[-2]
         reg = np.array([math.log(1.0 + math.log(1.0 / e)) for e in eps_list])

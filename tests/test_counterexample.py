@@ -9,7 +9,7 @@ from oracle_values import GRAM_FORM_REF, PERIOD_REF, POWCOS_REF, XI_LIMIT
 from weissbench import (BasisIndexMap, BoundViolated, CoefficientVector,
                         CounterexampleParams, DiagonalSystem, DomainError,
                         GramCache, LorentzIndex, XiTable,
-                        bessel_failure_witness, divergence_profile, envelope,
+                        bessel_failure_witness, divergence_profile,
                         hilbertian_constant_estimate, orbit_lower_bound_check,
                         state_norm, witness_system, xi_asymptotic,
                         xi_coefficient)
@@ -23,7 +23,8 @@ from weissbench.quadrature import (DEFAULT_SPEC, QuadratureSpec,
                                    laplace_quadrature, powcos_quadrature,
                                    singular_oscillatory_integral)
 from weissbench.semigroup import (lambda_grid, log_grid, orbit_callable,
-                                  orbit_decay_bound, resolvent_observation)
+                                  orbit_decay_bound, orbit_observation,
+                                  resolvent_observation, weiss_quotient)
 
 
 @pytest.fixture(scope="module")
@@ -67,20 +68,14 @@ def test_params_domain():
             CounterexampleParams(bad)
 
 
-def test_index_map_enumeration():
-    freqs = [BasisIndexMap.frequency(k) for k in range(7)]
-    assert freqs == [0, -1, 1, -2, 2, -3, 3]
-    assert np.array_equal(BasisIndexMap.frequencies(7), freqs)
-    for k in range(500):
-        nu = BasisIndexMap.frequency(k)
-        assert BasisIndexMap.index(nu) == k
-        assert abs(nu) <= (k + 1) // 2
-    with pytest.raises(DomainError):
-        BasisIndexMap.frequency(-1)
-    with pytest.raises(DomainError):
-        BasisIndexMap.frequency(1.5)
-    with pytest.raises(DomainError):
-        BasisIndexMap.index(0.5)
+def test_index_map_enumeration(p4):
+    assert BasisIndexMap.frequencies(7).tolist() == [0, -1, 1, -2, 2, -3, 3]
+    nu = BasisIndexMap.frequencies(500)
+    assert np.unique(nu).size == 500  # one index a frequency
+    assert np.all(np.abs(nu) <= (np.arange(500) + 1) // 2)
+    for bad in (-1, 1.5):
+        with pytest.raises(DomainError):
+            gram_entry(bad, 0, p4)
 
 
 # ------------------------------------------------------------- coefficients
@@ -118,19 +113,22 @@ NAN, INF = math.nan, math.inf
     lambda p, g, t: GramCache(p, INF),
     lambda p, g, t: xi_asymptotic(NAN, p),
     lambda p, g, t: xi_asymptotic(INF, p),
-    lambda p, g, t: BasisIndexMap.frequency(NAN),
-    lambda p, g, t: BasisIndexMap.frequency(INF),
-    lambda p, g, t: BasisIndexMap.index(NAN),
-    lambda p, g, t: BasisIndexMap.index(-INF),
+    lambda p, g, t: gram_entry(NAN, 0, p),
+    lambda p, g, t: gram_entry(INF, 0, p),
+    lambda p, g, t: gram_entry(0, NAN, p),
+    lambda p, g, t: gram_entry(0, -INF, p),
     lambda p, g, t: witness_system(p, n_modes=NAN),
     lambda p, g, t: witness_system(p, n_modes=INF),
     lambda p, g, t: witness_system(p, n_modes=2.5),
     lambda p, g, t: hilbertian_constant_estimate(p, 1, NAN, gram=g),
     lambda p, g, t: hilbertian_constant_estimate(p, 1, INF, gram=g),
     lambda p, g, t: hilbertian_constant_estimate(p, 1.5, 4, gram=g),
-    lambda p, g, t: divergence_profile(p, [1e-2], per_decade=NAN),
-    lambda p, g, t: divergence_profile(p, [1e-2], per_decade=INF),
-    lambda p, g, t: orbit_lower_bound_check(p, (0, 3), 1.5),
+    lambda p, g, t: divergence_profile(p, [1e-2], per_decade=NAN,
+                                       witness=witness_system(p)),
+    lambda p, g, t: divergence_profile(p, [1e-2], per_decade=INF,
+                                       witness=witness_system(p)),
+    lambda p, g, t: orbit_lower_bound_check(p, (0, 3), 1.5,
+                                            witness=witness_system(p)),
     lambda p, g, t: bessel_failure_witness(p, [10.5, 20], gram=g, table=t),
     lambda p, g, t: DiagonalSystem.default(n_active=2.5),
     lambda p, g, t: DiagonalSystem.default(n_active=NAN),
@@ -143,8 +141,8 @@ NAN, INF = math.nan, math.inf
     lambda p, g, t: log_grid(1e-3, 1.0, per_decade=2.5),
 ], ids=["periods-nan", "periods-inf", "xi-table-nan", "xi-table-inf",
         "period-table-nan", "period-table-neg-inf", "gram-nan", "gram-inf",
-        "asymptotic-nan", "asymptotic-inf", "frequency-nan", "frequency-inf",
-        "index-nan", "index-neg-inf", "modes-nan", "modes-inf",
+        "asymptotic-nan", "asymptotic-inf", "index-nan", "index-inf",
+        "index-second-nan", "index-neg-inf", "modes-nan", "modes-inf",
         "modes-fraction", "hilbertian-N-nan", "hilbertian-N-inf",
         "trials-fraction", "per-decade-nan", "per-decade-inf",
         "samples-fraction", "bessel-sizes-fraction", "n-active-fraction",
@@ -168,9 +166,23 @@ def test_malformed_counts_raise_domain_error(p4, gram4, table4, call):
     lambda p, g: lambda_grid(mod_max=INF),
     lambda p, g: lambda_grid(n_moduli=1.5),
     lambda p, g: hilbertian_constant_estimate(p, 2, 4, seed=1.5, gram=g),
+    lambda p, g: QuadratureSpec("x"),
+    lambda p, g: QuadratureSpec(None),
+    lambda p, g: period_table("0.5", 4),
+    lambda p, g: log_grid("a", 1.0),
+    lambda p, g: envelope_power_q("a", 1.0),
+    lambda p, g: orbit_lower_bound_check(p, (0, 3), 2, tail_tolerance="x",
+                                         witness=witness_system(p)),
+    lambda p, g: divergence_profile(p, ["a"], witness=witness_system(p)),
+    lambda p, g: CoefficientVector([1.0], tail_sup="x"),
+    lambda p, g: weiss_quotient(*witness_system(p)[:2], "x", 1.0),
+    lambda p, g: orbit_observation(*witness_system(p)[:2], 1.0, "x"),
 ], ids=["n-string", "n-none", "gamma-string", "q-string", "q-none",
         "p-string", "lorentz-q-none", "mod-min-zero", "mod-max-inf",
-        "moduli-fraction", "seed-fraction"])
+        "moduli-fraction", "seed-fraction", "tol-string", "tol-none",
+        "period-table-g-string", "log-grid-lo-string", "envelope-eps-string",
+        "tail-tolerance-string", "eps-string", "tail-sup-string",
+        "x-norm-string", "orbit-tol-string"])
 def test_malformed_input_raises_domain_error(p4, gram4, call):
     # each raised TypeError or ValueError before
     with pytest.raises(DomainError):
@@ -270,24 +282,6 @@ def test_period_reconciliation_identity(p4, table4):
 
 
 # ------------------------------------------------------------------ envelope
-def test_envelope_values(p4):
-    assert envelope(1.0, p4) == 1.0
-    want = 2.0 ** (-1.0 / p4.q) * math.sqrt(math.e)
-    assert envelope(math.exp(-1.0), p4) == pytest.approx(want, rel=1e-14)
-    arr = envelope(np.array([0.1, 1.0]), p4)
-    assert arr.shape == (2,)
-    with pytest.raises(DomainError):
-        envelope(0.0, p4)
-
-
-def test_envelope_sup_of_decay_product(p4):
-    # sqrt(t) * envelope(t) = (1+log(1/t))^{-1/q} peaks at t = 1 with value 1
-    t = np.logspace(-12, 0, 2001)
-    prod = np.sqrt(t) * envelope(t, p4)
-    assert float(np.max(prod)) == 1.0
-    assert np.all(prod <= 1.0)
-
-
 def test_envelope_norm_closed_form(p4):
     eps = math.exp(1.0 - math.exp(4.0))
     assert envelope_norm_q(eps, 1.0, p4) == pytest.approx(math.sqrt(2.0),
@@ -346,20 +340,22 @@ def test_laplace_identity_on_the_witness(p4):
 
 
 def test_orbit_lower_bound_holds(p4):
-    report = orbit_lower_bound_check(p4, (0, 6), 4)
+    report = orbit_lower_bound_check(p4, (0, 6), 4,
+                                     witness=witness_system(p4))
     assert report.worst_slack >= 0.0
     assert report.samples == 7 * 4
     assert 0 <= report.worst_n <= 6
 
 
 def test_orbit_lower_bound_validation(p4):
+    wit = witness_system(p4)
     with pytest.raises(DomainError):
-        orbit_lower_bound_check(p4, (3, 1), 4)
+        orbit_lower_bound_check(p4, (3, 1), 4, witness=wit)
     with pytest.raises(DomainError):
-        orbit_lower_bound_check(p4, (0, 2), 0)
+        orbit_lower_bound_check(p4, (0, 2), 0, witness=wit)
     # index 60 of the 60 default coefficients raised a raw IndexError
     with pytest.raises(DomainError, match="n_hi=70"):
-        orbit_lower_bound_check(p4, (0, 70), 2, witness=witness_system(p4))
+        orbit_lower_bound_check(p4, (0, 70), 2, witness=wit)
 
 
 def test_orbit_lower_bound_violation_detected(p4, table4):
@@ -399,6 +395,7 @@ def test_divergence_profile_columns(p4):
     lambda p4, p8: bessel_failure_witness(p4, [16, 64],
                                           gram=GramCache(p8, 64)),
     lambda p4, p8: bessel_failure_witness(p4, [16, 64],
+                                          gram=GramCache(p4, 64),
                                           table=XiTable(p8, 33)),
     lambda p4, p8: hilbertian_constant_estimate(p4, 2, 16,
                                                 gram=GramCache(p8, 16)),
@@ -416,8 +413,9 @@ def test_prebuilt_table_for_another_q_raises(p4, call):
 # -------------------------------------------------------------------- basis
 def test_gram_entries_reduce_to_frequency_difference(p4, gram4):
     g = 2.0 * p4.beta + 1.0
+    nu = BasisIndexMap.frequencies(7)
     for j, k in ((0, 0), (1, 2), (3, 6), (0, 5)):
-        delta = abs(BasisIndexMap.frequency(j) - BasisIndexMap.frequency(k))
+        delta = abs(int(nu[j]) - int(nu[k]))
         want = 2.0 * singular_oscillatory_integral(g, delta)
         got = gram_entry(j, k, p4)
         assert got.imag == 0.0

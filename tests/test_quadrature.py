@@ -13,10 +13,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracle_values import GAMMA_REF, POWCOS_REF
+from oracle_values import POWCOS_REF
 from weissbench import (CoefficientVector, CounterexampleParams,
                         DiagonalSystem, DomainError, QuadratureSpec,
-                        ToleranceNotMet, gamma_function, laplace_quadrature,
+                        ToleranceNotMet, laplace_quadrature,
                         singular_oscillatory_integral, witness_system)
 from weissbench import quadrature
 from weissbench.cli import _laplace_lambda_points, _random_finite_system
@@ -25,19 +25,6 @@ from weissbench.quadrature import (MAX_PANELS, _graded_mesh,
                                    powcos_quadrature,
                                    singular_oscillatory_detail)
 from weissbench.semigroup import orbit_callable, orbit_decay_bound
-
-
-def test_gamma_function_against_reference():
-    for x, want in GAMMA_REF.items():
-        assert gamma_function(x) == pytest.approx(want, rel=1e-12)
-
-
-def test_gamma_function_domain():
-    for bad in (0.0, -1.0, 2.5, math.inf):
-        with pytest.raises(DomainError):
-            gamma_function(bad)
-    with pytest.raises(DomainError):
-        gamma_function("0.5")
 
 
 def test_quadrature_spec_validation():

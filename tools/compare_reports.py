@@ -5,10 +5,11 @@
 Runs `python -m weissbench.cli full-report` from each tree's `src/`, with
 BLAS pinned to one thread, at six configurations: the defaults, `--seed 7`,
 `--q 3`, `--q 8`, `--q 1e6` and `--q 1e9`. Artifacts go to
-OUTDIR/<configuration>/{a,b}; OUTDIR must be new or empty. Prints each
-configuration's two exit codes and every artifact that is missing from one
-side or differs, and exits 1 on any difference, 0 when every artifact and
-exit code agree. Standard library only; neither the package nor its tests
+OUTDIR/<configuration>/{a,b}; OUTDIR must be new or empty. Prints the line
+count of each tree's `src/weissbench/*.py` and the difference B - A, then
+each configuration's two exit codes and every artifact that is missing from
+one side or differs, and exits 1 on any difference, 0 when every artifact
+and exit code agree. Standard library only; neither the package nor its tests
 import this script.
 """
 import filecmp
@@ -25,6 +26,12 @@ CONFIGS = {
     "q-1e6": ["--q", "1e6"],
     "q-1e9": ["--q", "1e9"],
 }
+
+
+def source_lines(tree):
+    """Lines in tree's src/weissbench/*.py, as `cat ... | wc -l` counts."""
+    return sum(p.read_bytes().count(b"\n")
+               for p in Path(tree, "src", "weissbench").glob("*.py"))
 
 
 def run_report(tree, args, outdir):
@@ -56,6 +63,8 @@ def main(argv):
     if out.exists() and any(out.iterdir()):
         sys.stderr.write(f"{out} is not empty; give a new OUTDIR\n")
         return 2
+    lines = source_lines(tree_a), source_lines(tree_b)
+    print(f"src lines: {lines[0]} / {lines[1]} ({lines[1] - lines[0]:+d})")
     same = True
     for name, args in CONFIGS.items():
         dir_a, dir_b = out / name / "a", out / name / "b"

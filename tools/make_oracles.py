@@ -40,17 +40,6 @@ lines.append("")
 lines.append("import math")
 lines.append("")
 
-lines.append("# gamma function on (0, 2]")
-lines.append("GAMMA_REF = {")
-for label, xv in [("0.125", mp.mpf(1) / 8), ("0.25", mp.mpf(1) / 4),
-                  ("1.0 / 3.0", mp.mpf(1) / 3), ("0.5", mp.mpf(1) / 2),
-                  ("0.75", mp.mpf(3) / 4), ("1.0", mp.mpf(1)),
-                  ("1.25", mp.mpf(5) / 4), ("1.5", mp.mpf(3) / 2),
-                  ("2.0", mp.mpf(2))]:
-    lines.append(f"    {label}: {fmt(mp.gamma(xv))},")
-lines.append("}")
-lines.append("")
-
 cases = [
     ("0.125", mp.mpf(1) / 8, [0, 1, 17, 100, 1000, 10000]),
     ("1.0 / 3.0", mp.mpf(1) / 3, [0, 1, 5, 17, 1000]),
