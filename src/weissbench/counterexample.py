@@ -15,7 +15,7 @@ import numpy as np
 
 from ._kernels import powcos_panels
 from .errors import BoundViolated, DomainError, _integer, _real
-from .lorentz import lorentz_norm, sample_steps
+from .lorentz import StepFunction, lorentz_norm
 from .quadrature import (_EPS, DEFAULT_SPEC, _gate, _halving_estimate,
                          powcos_quadrature, singular_end,
                          singular_oscillatory_integral)
@@ -243,20 +243,27 @@ def divergence_profile(params, eps_list, tau=1.0, *, witness, per_decade=64):
     Lorentz (2,q) norm, sampled-orbit weak-L2 norm, all over (eps, tau).
     The weak column stabilizes while both (2,q) columns diverge like
     log(1+log(1/eps))^(1/q): the quantitative endpoint separation. The
-    witness must be built for params.q.
+    witness must be built for params.q. The orbit is evaluated once, at
+    the union of the windows' left cell ends, the values a call per window
+    would give; for eps = 10^-k the grids are suffixes of the widest one.
     """
     eps_arr = np.array([_real(e, "eps") for e in eps_list], dtype=float)
+    tau = _real(tau, "tau")
     if eps_arr.size == 0 or not np.all(np.diff(eps_arr) < 0.0):
         raise DomainError("eps_list must be strictly decreasing")
     if not (np.all(eps_arr > 0.0) and np.all(eps_arr < tau) and tau <= 1.0):
         raise DomainError("need 0 < eps < tau <= 1 for every eps")
     per_decade = _integer(per_decade, "per_decade", 64)
     _built_for(params, witness.table, "witness")
+    grids = [log_grid(eps, tau, per_decade) for eps in eps_arr]
+    lefts = [grid[:-1] for grid in grids]
     orbit = orbit_callable(witness.system, witness.xi)
+    points, where = np.unique(np.concatenate(lefts), return_inverse=True)
+    values = np.split(orbit(points)[where],
+                      np.cumsum([left.size for left in lefts[:-1]]))
     out = np.empty((eps_arr.size, 4))
-    for i, eps in enumerate(eps_arr):
-        steps = sample_steps(orbit, log_grid(eps, tau, per_decade),
-                             rule="left")
+    for i, (eps, grid, v) in enumerate(zip(eps_arr, grids, values)):
+        steps = StepFunction(grid, v)
         out[i] = (eps,
                   envelope_norm_q(float(eps), tau, params),
                   lorentz_norm(steps, (2.0, params.q)),
@@ -376,6 +383,14 @@ class GramCache:
         return float(g[0] * r[0] + 2.0 * (g[1:] @ r[1:]))
 
 
+def _gram_covers(params, gram, N):
+    """Raise DomainError unless gram is built for params.q, N elements."""
+    _built_for(params, gram, "gram")
+    if gram.n_basis < N:
+        raise DomainError(f"gram covers {gram.n_basis} basis elements, "
+                          f"fewer than N = {N}")
+
+
 def bessel_failure_witness(params, N_list, spec=DEFAULT_SPEC, *, gram,
                            table=None):
     """Table (N, sum of xi_k^2, quadratic form xi* G xi) over k < N.
@@ -388,10 +403,10 @@ def bessel_failure_witness(params, N_list, spec=DEFAULT_SPEC, *, gram,
     if not sizes or any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise DomainError("N_list must be strictly increasing positive ints")
     n_max = sizes[-1]
+    _gram_covers(params, gram, n_max)
     need = (n_max + 1) // 2 + 1  # entries of a table covering k < n_max
     if table is None:
         table = XiTable(params, need, spec)
-    _built_for(params, gram, "gram")
     _built_for(params, table, "table")
     if len(table) < need:
         raise DomainError(f"table has {len(table)} entries; N = {n_max} "
@@ -441,7 +456,7 @@ def hilbertian_constant_estimate(params, trials, N, seed=20259, *, gram):
     """
     trials = _integer(trials, "trials", 1)
     N = _integer(N, "N", 1)
+    _gram_covers(params, gram, N)
     seed = _integer(seed, "seed")
-    _built_for(params, gram, "gram")
     draws = 2.0 * _lcg_uniform(seed, trials * N).reshape(trials, N) - 1.0
     return max(math.sqrt(gram.quadratic_form(a) / (a @ a)) for a in draws)

@@ -1,6 +1,8 @@
 """Exception types shared across the package, and the checks raising them."""
 import numbers
 
+import numpy as np
+
 
 class WeissbenchError(Exception):
     """Base class for all package-specific errors."""
@@ -54,6 +56,14 @@ def _real(value, name):
     if not isinstance(value, numbers.Real):
         raise DomainError(f"{name} must be a real number, got {value!r}")
     return float(value)
+
+
+def _array(value, name, dtype=float):
+    """value as a NumPy array of dtype, else DomainError."""
+    try:
+        return np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be numeric, got {value!r}") from None
 
 
 EXIT_OK = 0

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import _NODES, GAUSS_ORDER, gauss_contributions, powcos_panels
-from .errors import DomainError, ToleranceNotMet, _integer, _real
+from .errors import DomainError, ToleranceNotMet, _array, _integer, _real
 
 __all__ = [
     "QuadratureSpec",
@@ -221,8 +221,8 @@ def laplace_quadrature(orbit, lam, spec=DEFAULT_SPEC, *, T, decay):
     called. The caller chooses T so the discarded tail is below tolerance.
     One lam returns a complex, an array of them a complex array.
     """
-    lams = np.asarray(lam, dtype=complex)
-    Ts = np.asarray(T, dtype=float)
+    lams = _array(lam, "lambda", complex)
+    Ts = _array(T, "T")
     if lams.ndim > 1 or not lams.size or Ts.shape not in ((), lams.shape):
         raise DomainError("lambda must be one point or a nonempty 1-d "
                           "array, and T one value or one per point")

@@ -17,8 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (DivergentSum, DomainError, TruncationOverflow, _integer,
-                     _real)
+from .errors import (DivergentSum, DomainError, TruncationOverflow, _array,
+                     _integer, _real)
 
 __all__ = [
     "DiagonalSystem",
@@ -38,6 +38,9 @@ __all__ = [
 
 _RATIO_CAP = 0.9  # certified geometric decay needs ratios at most this
 _EPS = float(np.finfo(float).eps)
+# exp(-x) rounds to +0.0 for every x above 1075 ln 2 = 745.133..., where
+# e^(-x) is below half the smallest subnormal; a margin above that
+_UNDERFLOW = 746.0
 
 
 def _upper_half_ratio(terms):
@@ -182,7 +185,7 @@ def _fsums(terms, counts):
 
 def _points(x, dtype, what):
     """x as a 1-d array of points in the domain, and whether x was one."""
-    points = np.asarray(x, dtype=dtype)
+    points = _array(x, what, dtype)
     if points.ndim > 1 or points.size == 0:
         raise DomainError(f"{what} must be one point or a nonempty 1-d array")
     if not (points.real.min() > 0.0 and np.isfinite(points).all()):
@@ -245,7 +248,11 @@ def orbit_callable(sys, xi):
 
     Used as the integrand factory for Laplace quadrature: keeping all active
     modes makes the callable exact for finite vectors and accurate to the
-    beyond-active tail otherwise.
+    beyond-active tail otherwise. Any t is evaluated flattened, padded by
+    its last point to whole 4-row BLAS groups, as _kernels pads panels, so
+    a point's value is the same, bit for bit, in any batch. The trailing
+    modes with mu_k min(t) above _UNDERFLOW are skipped: their exponentials
+    are +0.0 at every point, and so are their terms of the sum.
     """
     v, mu, c = _active_slice(sys, xi)
     w = v * c
@@ -253,12 +260,17 @@ def orbit_callable(sys, xi):
 
     def orbit(t):
         t = np.asarray(t, dtype=float)
-        if t.ndim > 1:  # elementwise: the same values as t flattened
+        if t.ndim != 1:  # elementwise: the same values as t flattened
             return orbit(t.reshape(-1)).reshape(t.shape)
+        n = t.size
+        t = np.pad(t, (0, -n % 4), "edge") if n % 4 else t
+        # mu t, not a division by t, which overflows for a subnormal t; the
+        # dead modes are a suffix, a NaN min keeps every mode, an empty t none
+        k = np.count_nonzero(~(mu * t.min(initial=math.inf) > _UNDERFLOW))
         # (-mu) t is exactly -(mu t): one array, a row a mode, exponentiated
         # in place; each mode is one long row for NumPy's inner loops
-        z = np.multiply.outer(neg_mu, t)
-        return w @ np.exp(z, out=z)
+        z = np.multiply.outer(neg_mu[:k], t)
+        return (w[:k] @ np.exp(z, out=z))[:n]
 
     return orbit
 
@@ -271,7 +283,7 @@ def orbit_decay_bound(sys, xi, alpha):
     by a few eps against its own roundoff. This is the decay argument of
     laplace_quadrature. alpha must be finite and nonnegative.
     """
-    if not 0.0 <= alpha < math.inf:
+    if not 0.0 <= _real(alpha, "alpha") < math.inf:
         raise DomainError(f"alpha must be finite and >= 0, got {alpha}")
     v, mu, c = _active_slice(sys, xi)
     terms = np.abs(v * c) * (alpha / (math.e * mu)) ** alpha

@@ -10,9 +10,9 @@ from weissbench import (BasisIndexMap, BoundViolated, CoefficientVector,
                         CounterexampleParams, DiagonalSystem, DomainError,
                         GramCache, LorentzIndex, XiTable,
                         bessel_failure_witness, divergence_profile,
-                        hilbertian_constant_estimate, orbit_lower_bound_check,
-                        state_norm, witness_system, xi_asymptotic,
-                        xi_coefficient)
+                        hilbertian_constant_estimate, lorentz_norm,
+                        orbit_lower_bound_check, sample_steps, state_norm,
+                        witness_system, xi_asymptotic, xi_coefficient)
 from weissbench import counterexample as ce
 from weissbench.counterexample import (_LCG_BLOCK, WitnessSystem,
                                        _lcg_uniform, envelope_norm_q,
@@ -177,12 +177,19 @@ def test_malformed_counts_raise_domain_error(p4, gram4, table4, call):
     lambda p, g: CoefficientVector([1.0], tail_sup="x"),
     lambda p, g: weiss_quotient(*witness_system(p)[:2], "x", 1.0),
     lambda p, g: orbit_observation(*witness_system(p)[:2], 1.0, "x"),
+    lambda p, g: divergence_profile(p, [1e-2], tau="x",
+                                    witness=witness_system(p)),
+    lambda p, g: orbit_decay_bound(*witness_system(p)[:2], "x"),
+    lambda p, g: orbit_observation(*witness_system(p)[:2], "x", 1e-9),
+    lambda p, g: laplace_quadrature(np.exp, 1.0, T="x", decay=(1.0, 0.0)),
+    lambda p, g: laplace_quadrature(np.exp, "x", T=1.0, decay=(1.0, 0.0)),
 ], ids=["n-string", "n-none", "gamma-string", "q-string", "q-none",
         "p-string", "lorentz-q-none", "mod-min-zero", "mod-max-inf",
         "moduli-fraction", "seed-fraction", "tol-string", "tol-none",
         "period-table-g-string", "log-grid-lo-string", "envelope-eps-string",
         "tail-tolerance-string", "eps-string", "tail-sup-string",
-        "x-norm-string", "orbit-tol-string"])
+        "x-norm-string", "orbit-tol-string", "tau-string", "alpha-string",
+        "orbit-t-string", "laplace-T-string", "laplace-lambda-string"])
 def test_malformed_input_raises_domain_error(p4, gram4, call):
     # each raised TypeError or ValueError before
     with pytest.raises(DomainError):
@@ -391,6 +398,40 @@ def test_divergence_profile_columns(p4):
             CounterexampleParams(8.0)))
 
 
+@pytest.mark.parametrize("eps_list, per_decade, tau", [
+    ([10.0 ** -k for k in range(2, 13)], 1024, 1.0),
+    ([3e-2, 7e-5, 1.3e-9], 100, 1.0),
+    ([3e-2, 7e-5, 1.3e-9], 100, 0.5),
+], ids=["nested", "not-nested", "not-nested-tau"])
+def test_divergence_profile_matches_per_window_samples(p4, eps_list,
+                                                       per_decade, tau,
+                                                       monkeypatch):
+    # the orbit is evaluated once over the union of the windows' left ends;
+    # each window's step function and norms are those of its own sample,
+    # bit for bit
+    seen = []
+
+    def recording_norm(f, idx):
+        seen.append(f)
+        return lorentz_norm(f, idx)
+
+    monkeypatch.setattr(ce, "lorentz_norm", recording_norm)
+    wit = witness_system(p4)
+    prof = divergence_profile(p4, eps_list, tau, witness=wit,
+                              per_decade=per_decade)
+    orbit = orbit_callable(wit.system, wit.xi)
+    grids = [log_grid(eps, tau, per_decade) for eps in eps_list]
+    nested = all(np.array_equal(grids[0], grid[-grids[0].size:])
+                 for grid in grids)
+    assert nested == (per_decade == 1024)
+    for row, grid, f in zip(prof, grids, seen[::2]):
+        steps = sample_steps(orbit, grid, rule="left")
+        assert np.array_equal(f.breakpoints, steps.breakpoints)
+        assert np.array_equal(f.values, steps.values)
+        assert row[2] == lorentz_norm(steps, (2.0, p4.q))
+        assert row[3] == lorentz_norm(steps, (2.0, math.inf))
+
+
 @pytest.mark.parametrize("call", [
     lambda p4, p8: bessel_failure_witness(p4, [16, 64],
                                           gram=GramCache(p8, 64)),
@@ -548,6 +589,25 @@ def test_bessel_witness_growth_and_qform_trend(p4, gram4, table4):
     # partial expansions overshoot the limit and approach it from above
     assert np.all(out[:, 2] > x_sq)
     assert np.all(np.diff(out[:, 2]) < 0.0)
+
+
+def test_gram_smaller_than_N_raises_before_any_work(p4, gram4, table4,
+                                                    monkeypatch):
+    # the XiTable was built first, then quadratic_form raised "x must be
+    # 1-d, of length 1..64", naming an argument the caller never passed
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the Gram size check")
+
+    monkeypatch.setattr(ce, "XiTable", no_work)
+    monkeypatch.setattr(ce, "_lcg_uniform", no_work)
+    message = "^gram covers 64 basis elements, fewer than N = 128$"
+    with pytest.raises(DomainError, match=message):
+        bessel_failure_witness(p4, [16, 128], gram=gram4)
+    with pytest.raises(DomainError, match=message):
+        hilbertian_constant_estimate(p4, 2, 128, gram=gram4)
+    # a Gram of exactly N elements serves
+    assert bessel_failure_witness(p4, [64], gram=gram4,
+                                  table=table4).shape == (1, 3)
 
 
 def test_bessel_witness_validation(p4, gram4):

@@ -141,6 +141,81 @@ def test_orbit_callable_matches_observation():
     assert orbit(0.5) == pytest.approx(orbit(np.array([0.5]))[0], rel=1e-15)
 
 
+@pytest.fixture(scope="module")
+def witness4():
+    return witness_system(CounterexampleParams(4.0))
+
+
+def full_product(system, xi, t):
+    """Every active mode's term, summed by the row-a-mode product."""
+    return (xi.values * system.c) @ np.exp(-np.outer(system.mu, t))
+
+
+def test_orbit_value_does_not_depend_on_its_batch(witness4):
+    # unpadded, an ulp moved in over a third of such slices: BLAS sums the
+    # last (points mod 4) of a batch in another order
+    orbit = orbit_callable(witness4.system, witness4.xi)
+    grid = log_grid(1e-12, 1.0, 1024)
+    assert grid.size % 4 == 1
+    whole = orbit(grid)
+    rng = np.random.default_rng(22)
+    for _ in range(300):
+        a, b = np.sort(rng.choice(grid.size + 1, 2, replace=False))
+        assert np.array_equal(orbit(grid[a:b]), whole[a:b])
+    for i in (0, 1, grid.size // 2, grid.size - 1):
+        assert orbit(grid[i:i + 1])[0] == whole[i]
+
+
+def test_orbit_skips_underflowing_modes_bit_for_bit(witness4):
+    system, xi = witness4.system, witness4.xi
+    orbit = orbit_callable(system, xi)
+    # 35 of the 60 modes have mu_k t > 746 on [1e-12, 1]: each exponential
+    # is +0.0 at every point there, and the kept modes sum the same bits
+    dead = system.mu * 1e-12 > semigroup._UNDERFLOW
+    assert np.count_nonzero(dead) == 35 and not dead[:25].any()
+    for lo in (1e-12, 1e-9, 1e-5, 1e-2):
+        t = log_grid(lo, 1.0, 1024)[:-1]  # whole groups of 4
+        assert not np.exp(-np.outer(system.mu[dead], t)).any()
+        assert np.array_equal(orbit(t), full_product(system, xi, t))
+    # signed weights; near the underflow point the first mode is the whole
+    # sum, down to its last subnormal at t = 745.1, and past t = 746 every
+    # mode is dropped
+    sys16 = DiagonalSystem.default(n_active=16)
+    xi16 = CoefficientVector((-1.0) ** np.arange(16) / (1.0 + np.arange(16)))
+    assert orbit_callable(sys16, xi16)(np.full(4, 745.1))[0] > 0.0
+    for t in (log_grid(1e-9, 1e3, 64)[:-1], np.full(4, 745.1),
+              np.array([720.0, 745.0, 745.2, 800.0]),
+              np.array([750.0, 800.0] * 2)):
+        assert np.array_equal(orbit_callable(sys16, xi16)(t),
+                              full_product(sys16, xi16, t))
+
+
+def test_orbit_callable_edge_points(witness4):
+    system, xi = witness4.system, witness4.xi
+    orbit = orbit_callable(system, xi)
+    w = xi.values * system.c
+    # t = 0 and a subnormal t keep every mode (a division 746 / t would
+    # overflow), t < 0 overflows as the full product does, and a NaN min
+    # keeps every mode
+    for t in ([0.0, 1e-3, 0.5, 1.0], [5e-324, 1e-3, 0.5, 1.0],
+              [1e-300, 2e-300, 1e-12, 1.0], [-1e-3, 1e-3, 0.5, 1.0],
+              [math.nan, 1e-3, 0.5, 1.0], [1.0, math.nan, 1e-12, 0.5]):
+        t = np.array(t)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.array_equal(orbit(t), full_product(system, xi, t),
+                                  equal_nan=True)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        assert orbit(np.array([5e-324]))[0] == orbit(np.array([0.0]))[0]
+    assert np.isnan(orbit(np.array([math.nan]))[0])
+    empty = orbit(np.empty(0))
+    assert empty.shape == (0,) and empty.dtype == float
+    assert orbit(np.empty((0, 3))).shape == (0, 3)
+    # one point: its value in any batch
+    for t in (0.0, 5e-324, 1e-12, 0.5, 800.0):
+        assert orbit(t) == orbit(np.array([t, 1.0, 1e-3]))[0]
+        assert orbit(np.float64(t)).shape == ()
+
+
 def test_orbit_decay_bound():
     sys_ = DiagonalSystem.default(n_active=16)
     xi = CoefficientVector((-1.0) ** np.arange(16) / (1.0 + np.arange(16)))
