@@ -59,9 +59,13 @@ def _real(value, name):
 
 
 def _array(value, name, dtype=float):
-    """value as a NumPy array of dtype, else DomainError."""
+    """value as a NumPy array of dtype, else DomainError; strings, which
+    NumPy would parse, are rejected as _real rejects them."""
     try:
-        return np.asarray(value, dtype=dtype)
+        points = np.asarray(value)
+        if points.dtype.kind in "SU":
+            raise TypeError
+        return points if points.dtype == dtype else np.asarray(value, dtype)
     except (TypeError, ValueError):
         raise DomainError(f"{name} must be numeric, got {value!r}") from None
 

@@ -5,7 +5,9 @@ intervals [b_i, b_i+1), zero outside. Every float is a dyadic rational, so
 distribution functions and rearranged breakpoints are computed exactly as
 integer numerators over one common power of two, each result rounded once;
 a function and its decreasing rearrangement therefore have bit-identical
-distribution functions. Both read one table of exact levels per function:
+distribution functions. The numerators are Python ints held in NumPy object
+arrays, so each step (shift, difference, prefix sum, rounding) is one pass
+over the array. Both read one table of exact levels per function:
 the first exact call builds it in O(n log n) and keeps it on the function,
 each later distribution_function call is one O(log n) search, and results
 are unchanged by the caching, bit for bit. Norms use a separate vectorized
@@ -13,7 +15,6 @@ float path that divides the values by their maximum, which keeps every
 power of a value at most 1 and makes dyadic rescalings exactly equivariant.
 """
 import csv
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -61,7 +62,7 @@ class StepFunction:
             raise DomainError("breakpoints and values must be finite")
         if b[0] < 0.0:
             raise DomainError("breakpoints must be nonnegative")
-        if not np.all(np.diff(b) > 0.0):
+        if not np.all(b[1:] > b[:-1]):
             raise DomainError("breakpoints must be strictly increasing "
                               "(zero-length segments are rejected)")
         if np.any(v < 0.0):
@@ -115,13 +116,16 @@ def _dyadic_numerators(b):
     mant, exp = np.frexp(b)
     mant = np.ldexp(mant, 53).astype(np.int64)  # exact: 53-bit significands
     low = int(exp[mant != 0].min())
-    up = np.maximum(exp - low, 0).tolist()  # frexp(0.0) has exponent 0
-    return [m << s for m, s in zip(mant.tolist(), up)], low - 53
+    n = mant.astype(object)
+    n <<= np.maximum(exp - low, 0)  # frexp(0.0) has exponent 0
+    return n, low - 53
 
 
 def _round_dyadic(n, shift):
-    """n * 2**shift rounded once (int true division is correctly rounded)."""
-    return n / (1 << -shift) if shift < 0 else float(n << shift)
+    """n * 2**shift rounded once, n an int or an object array of ints (int
+    true division and int-to-float are correctly rounded), as float(s)."""
+    x = n / (1 << -shift) if shift < 0 else n * (1 << shift)
+    return x.astype(float) if isinstance(x, np.ndarray) else float(x)
 
 
 def _level_table(f):
@@ -137,10 +141,10 @@ def _level_table(f):
         values = f.values[order]
         ends = np.flatnonzero(values != np.append(values[1:], 0.0))
         n, shift = _dyadic_numerators(f.breakpoints)
-        acc = list(itertools.accumulate(
-            n[i + 1] - n[i] for i in order.tolist()))
+        d = np.diff(n)[order]
+        np.cumsum(d, out=d)  # in place: no second array of big ints
         object.__setattr__(f, "_levels", (
-            -values[ends], [0] + [acc[j] for j in ends.tolist()], shift))
+            -values[ends], np.concatenate(([0], d[ends])), shift))
     return f._levels
 
 
@@ -172,8 +176,8 @@ def decreasing_rearrangement(f):
     neg, levels, shift = _level_table(f)
     if neg.size == 0:  # identically zero input: keep a zero segment
         return StepFunction(f.breakpoints[:2] - f.breakpoints[0], [0.0])
-    breakpoints = [_round_dyadic(m, shift) for m in levels]
-    i = int(np.argmin(np.diff(breakpoints) > 0.0))  # the first collapse
+    breakpoints = _round_dyadic(levels, shift)
+    i = int(np.argmin(breakpoints[1:] > breakpoints[:-1]))  # first collapse
     if breakpoints[i + 1] <= breakpoints[i]:
         length = _round_dyadic(levels[i + 1] - levels[i], shift)
         raise DomainError(f"rearranged level of length {length:.6g} has no "

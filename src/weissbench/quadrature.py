@@ -235,7 +235,7 @@ def laplace_quadrature(orbit, lam, spec=DEFAULT_SPEC, *, T, decay):
     if not (np.isfinite(Ts).all() and Ts.min() > 0.0):
         raise DomainError("cutoff T must be finite and positive")
     try:
-        M, alpha = (float(v) for v in decay)
+        M, alpha = (_real(v, "decay") for v in decay)
     except (TypeError, ValueError):
         raise DomainError("decay must be a pair (M, alpha)") from None
     if not (0.0 <= M < math.inf and 0.0 <= alpha < 1.0):

@@ -196,6 +196,26 @@ def test_malformed_input_raises_domain_error(p4, gram4, call):
         call(p4, gram4)
 
 
+@pytest.mark.parametrize("call", [
+    lambda w: orbit_observation(w.system, w.xi, "1e-3", 1e-9),
+    lambda w: orbit_observation(w.system, w.xi, ["1e-3", 0.5], 1e-9),
+    lambda w: orbit_observation(w.system, w.xi, b"1e-3", 1e-9),
+    lambda w: resolvent_observation(w.system, w.xi, "2", 1e-9),
+    lambda w: weiss_quotient(w.system, w.xi, w.x_norm, "2"),
+    lambda w: weiss_quotient(w.system, w.xi, w.x_norm, ["2", 3.0]),
+    lambda w: laplace_quadrature(np.exp, "1", T="0.5", decay=(2.0, 0.0)),
+    lambda w: laplace_quadrature(np.exp, 1.0, T="0.5", decay=(2.0, 0.0)),
+    lambda w: laplace_quadrature(np.exp, 1.0, T=0.5, decay=("2", 0.0)),
+    lambda w: laplace_quadrature(np.exp, 1.0, T=0.5, decay=(2.0, "0")),
+], ids=["orbit-t", "orbit-t-list", "orbit-t-bytes", "resolvent-lambda",
+        "weiss-lambda", "weiss-lambda-list", "laplace-lambda", "laplace-T",
+        "laplace-decay-M", "laplace-decay-alpha"])
+def test_numeric_strings_raise_domain_error(p4, call):
+    # NumPy parses numeric strings; points are rejected as scalars are
+    with pytest.raises(DomainError, match="must be"):
+        call(witness_system(p4))
+
+
 def test_xi_table_smallest_sizes(p4):
     for n_max in (1, 2):
         table = XiTable(p4, n_max)

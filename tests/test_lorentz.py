@@ -259,6 +259,35 @@ def test_matches_fraction_oracle_tied_permuted_orbit():
     assert assert_matches_fraction_oracle(f)
 
 
+@pytest.mark.parametrize("breakpoints, values", [
+    ([2.0**60, 2.0**60 + 2**9, 2.0**62], [1.0, 1.0]),
+    # the 3.0 level's exact measure 2^60 - 2^53 - 66 is rounded
+    ([2.0**53, 2.0**53 + 66, 2.0**60], [1.0, 3.0]),
+    ([2.0**53, 2.0**53 + 66, 2.0**58, 2.0**60, 2.0**62], [1.0, 3.0, 1.0, 3.0]),
+], ids=["tied", "rounded", "tied-rounded"])
+def test_matches_fraction_oracle_above_two_to_the_52(breakpoints, values):
+    # integral breakpoints: the common shift is >= 0, so levels are rounded
+    # by int-to-float conversion rather than by int true division
+    f = StepFunction(breakpoints, values)
+    assert lorentz._level_table(f)[2] >= 0
+    assert assert_matches_fraction_oracle(f)
+
+
+@pytest.mark.parametrize("breakpoints", [
+    [0.0, 1.0, 2.5, 3.0],  # shift < 0
+    [2.0**60, 2.0**60 + 2**9, 2.0**61, 2.0**62],  # shift >= 0
+])
+def test_exact_results_keep_their_types(breakpoints):
+    f = StepFunction(breakpoints, [2.0, 1.0, 2.0])
+    g = decreasing_rearrangement(f)
+    assert g.breakpoints.dtype == np.float64
+    for h in (f, g):
+        neg, m, shift = lorentz._level_table(h)
+        assert all(type(x) is int for x in m) and type(shift) is int
+        for alpha in (0.0, 1.0, 1.5, 2.0):
+            assert type(distribution_function(h, alpha)) is float
+
+
 def test_repeat_queries_match_fraction_oracle():
     # the first exact call builds the function's level table and later
     # calls search it: every query is asked twice, in shuffled order, and
@@ -316,7 +345,7 @@ def test_rearrangement_seeds_the_general_table():
         want_neg, want_m, want_shift = lorentz._level_table(
             StepFunction(g.breakpoints, g.values))
         assert np.array_equal(neg, want_neg)
-        assert m == want_m and shift == want_shift
+        assert list(m) == list(want_m) and shift == want_shift
     # the zero function keeps the general path: its table is built on use
     g = decreasing_rearrangement(StepFunction([0.0, 2.0], [0.0]))
     assert g._levels is None

@@ -9,7 +9,10 @@ tree that goes first alternates from pair to pair, so a drift of the
 host's speed weighs on both alike. Every run's end-to-end metrics,
 operation counts and environment go to the output file, with each metric's
 median on both sides, the change's median over the parent's, and the
-number of pairs in which the change did better. Each metric's direction
+number of pairs in which the change did better. Before the pairs, each
+tree's tier-1 suite (`python -m pytest -q --continue-on-collection-errors`
+with the tree's `src/` on PYTHONPATH) runs once, and its wall time, exit
+code and outcome counts go to the output too. Each metric's direction
 and bound come from the change tree's BENCHMARK.json; a median that moved
 by more than its metric's bound is flagged. A flag does not change the
 exit code, which is 0 unless a run fails to produce its result. Standard
@@ -17,13 +20,17 @@ library only; neither the package nor its tests import this script.
 """
 import argparse
 import json
+import os
+import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
 SEED = 1  # pair i runs both trees at seed SEED + i
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 
 def parse_args(argv):
@@ -63,6 +70,27 @@ def run_once(tree, workload, seed, seconds):
             "environment": record["environment"]}
 
 
+def run_tier1(tree):
+    """Wall time, exit code and outcome counts of one tier-1 run of tree."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(tree, "src").resolve()), env.get("PYTHONPATH"))
+        if p)
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1], cwd=tree, env=env,
+                          capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    last = (proc.stdout.strip().splitlines() or [""])[-1]
+    # pytest's last line, e.g. "1 failed, 322 passed in 9.58s"
+    counts = {word: int(n)
+              for n, word in re.findall(r"(\d+) ([a-z]+)", last)}
+    return {"wall_s": wall, "returncode": proc.returncode,
+            "passed": counts.get("passed", 0),
+            "failed": counts.get("failed", 0),
+            "errors": counts.get("errors", counts.get("error", 0)),
+            "summary": last}
+
+
 def summarize(pairs, gates):
     """Per metric: both medians, their ratio, wins of the change, flag.
 
@@ -97,7 +125,12 @@ def main(argv=None):
         gates = {m["name"]: m for m in json.load(fh)["end_to_end"]}
     trees = {"parent": args.parent, "change": args.change}
     out = {"pairs_per_workload": args.pairs, "seconds": args.seconds,
-           "workloads": {}}
+           "tier1": {}, "workloads": {}}
+    for side in SIDES:
+        run = out["tier1"][side] = run_tier1(trees[side])
+        print(f"tier-1 {side}: {run['passed']} passed, {run['failed']} "
+              f"failed, {run['errors']} errors in {run['wall_s']:.1f} s "
+              f"(exit {run['returncode']})", flush=True)
     for workload in args.workload:
         pairs = []
         for i in range(args.pairs):
