@@ -7,7 +7,8 @@ truncated series whose returned values always come with a certified tail
 bound: terms inside the active range are summed exactly (fsum) and the part
 beyond the smallest admissible index is bounded by measured geometric decay.
 Observations take one point or a 1-d array of finite points; each point
-keeps its own truncation, bit for bit the one a single-point call makes.
+keeps its own truncation and value, bit for bit the same either way; one
+point is checked as Python scalars and skips the batch's array overhead.
 Systems and coefficient vectors are immutable, so the resolvent's
 truncation, which does not depend on the point, is certified once per
 (system, coefficients, tolerance) and kept on the coefficient vector.
@@ -174,23 +175,31 @@ def _certified_counts(abs_terms, weights, tail_sup, tol, what):
     return first + 1, bounds[np.arange(len(bounds)), first]
 
 
+def _complex_fsum(row):
+    """A complex 1-d row summed exactly (fsum), part by part."""
+    return complex(math.fsum(row.real.tolist()), math.fsum(row.imag.tolist()))
+
+
 def _fsums(terms, counts):
     """The first counts[i] terms of each row i, summed exactly (fsum)."""
     if np.iscomplexobj(terms):
-        return [complex(math.fsum(row[:n].real.tolist()),
-                        math.fsum(row[:n].imag.tolist()))
-                for row, n in zip(terms, counts)]
+        return [_complex_fsum(row[:n]) for row, n in zip(terms, counts)]
     return [math.fsum(row[:n].tolist()) for row, n in zip(terms, counts)]
 
 
 def _points(x, dtype, what):
-    """x as a 1-d array of points in the domain, and whether x was one."""
+    """x as a 0-d (one point) or 1-d array of points in the domain."""
     points = _array(x, what, dtype)
-    if points.ndim > 1 or points.size == 0:
+    if points.ndim == 0:  # checked as Python scalars, not by array passes
+        z = points.item()
+        inside = 0.0 < z.real < math.inf and math.isfinite(z.imag)
+    elif points.ndim == 1 and points.size:
+        inside = points.real.min() > 0.0 and np.isfinite(points).all()
+    else:
         raise DomainError(f"{what} must be one point or a nonempty 1-d array")
-    if not (points.real.min() > 0.0 and np.isfinite(points).all()):
+    if not inside:
         raise DomainError(f"{what} must be finite with a positive real part")
-    return points.reshape(-1), points.ndim == 0
+    return points
 
 
 def _active_slice(sys, xi):
@@ -204,14 +213,14 @@ def _active_slice(sys, xi):
 
 def orbit_observation(sys, xi, t, tol):
     """Observed orbit sum_k xi_k c_k exp(-mu_k t) with certified tail < tol."""
-    t, one = _points(t, float, "t")
+    t = _points(t, float, "t")
     v, mu, c = _active_slice(sys, xi)
-    decay = np.exp(-mu * t[:, None])
+    decay = np.exp(-mu * t.reshape(-1, 1))
     terms = v * c * decay
     counts, tails = _certified_counts(np.abs(terms), np.abs(c) * decay,
                                       xi.tail_sup, tol, "orbit_observation")
     sums = _fsums(terms, counts)
-    if one:
+    if t.ndim == 0:
         return ObservedValue(sums[0], float(tails[0]), int(counts[0]))
     return ObservedValue(np.array(sums), tails, int(counts.max()))
 
@@ -224,7 +233,7 @@ def resolvent_observation(sys, xi, lam, tol):
     one with the terms' numerators; a call for the same sys and tol only
     divides and sums. A failed certification is not kept.
     """
-    lam, one = _points(lam, complex, "lambda")
+    lam = _points(lam, complex, "lambda")
     entry = xi._resolvent
     if entry is None or entry[0] is not sys or entry[1] != tol:
         v, mu, c = _active_slice(sys, xi)
@@ -237,9 +246,9 @@ def resolvent_observation(sys, xi, lam, tol):
                  (v * c)[:n].astype(complex), mu[:n])
         object.__setattr__(xi, "_resolvent", entry)
     _, _, n, tail, vc, mu = entry
+    if lam.ndim == 0:  # the batch's division and sum of a row, for one
+        return ObservedValue(_complex_fsum(vc / (mu + lam.item())), tail, n)
     sums = _fsums(vc / (lam[:, None] + mu), [n] * lam.size)
-    if one:
-        return ObservedValue(sums[0], tail, n)
     return ObservedValue(np.array(sums), np.full(lam.size, tail), n)
 
 
@@ -294,10 +303,11 @@ def weiss_quotient(sys, xi, x_norm, lam, tol=1e-12):
     """Re(lam)^(1/2) |resolvent observation| / x_norm, at lam or over it."""
     if not 0.0 < _real(x_norm, "x_norm") < math.inf:
         raise DomainError(f"x_norm must be positive and finite, got {x_norm}")
+    lam = _array(lam, "lambda", complex)  # validated by the call below
     value = resolvent_observation(sys, xi, lam, tol).value
-    lam = np.asarray(lam, dtype=complex)  # validated by the call above
-    quotient = np.sqrt(lam.real) * np.abs(value) / x_norm
-    return float(quotient) if lam.ndim == 0 else quotient
+    if lam.ndim == 0:  # math.sqrt is np.sqrt, correctly rounded
+        return float(math.sqrt(lam.item().real) * np.abs(value) / x_norm)
+    return np.sqrt(lam.real) * np.abs(value) / x_norm
 
 
 def weiss_norm_orthonormal(sys, lam, tol):
@@ -306,17 +316,17 @@ def weiss_norm_orthonormal(sys, lam, tol):
     The caller asserts the underlying basis is orthonormal; only then is the
     l2 formula the operator norm of the observed resolvent.
     """
-    lam, one = _points(lam, complex, "lambda")
+    lam = _points(lam, complex, "lambda")
     limit = (sys.c / sys.mu) ** 2
     if _upper_half_ratio(limit) >= 1.0:
         raise DivergentSum(
             "sum c_k^2/mu_k^2 diverges over the active modes")
-    terms = sys.c**2 / np.abs(lam[:, None] + sys.mu) ** 2
+    terms = sys.c**2 / np.abs(lam.reshape(-1, 1) + sys.mu) ** 2
     counts, _ = _certified_counts(terms, limit[None], 1.0, tol,
                                   "weiss_norm_orthonormal")
     sums = np.array(_fsums(terms, counts))
     norms = np.sqrt(lam.real) * np.sqrt(sums)
-    return float(norms[0]) if one else norms
+    return float(norms[0]) if lam.ndim == 0 else norms
 
 
 def decay_profile(sys, xi, x_norm, t_grid, tol=1e-12):
@@ -330,7 +340,7 @@ def decay_profile(sys, xi, x_norm, t_grid, tol=1e-12):
 def decay_norm_orthonormal(sys, t_grid):
     """t^(1/2) * l2 norm of (c_k exp(-mu_k t)) over the active modes: operator
     decay samples with no tail certificate (ROADMAP item 4)."""
-    t_grid, _ = _points(t_grid, float, "t_grid")
+    t_grid = _points(t_grid, float, "t_grid").reshape(-1)
     sq = np.exp(-2.0 * np.outer(t_grid, sys.mu)) @ sys.c**2
     return np.sqrt(t_grid) * np.sqrt(sq)
 

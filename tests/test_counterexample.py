@@ -24,7 +24,8 @@ from weissbench.quadrature import (DEFAULT_SPEC, QuadratureSpec,
                                    singular_oscillatory_integral)
 from weissbench.semigroup import (lambda_grid, log_grid, orbit_callable,
                                   orbit_decay_bound, orbit_observation,
-                                  resolvent_observation, weiss_quotient)
+                                  resolvent_observation,
+                                  weiss_norm_orthonormal, weiss_quotient)
 
 
 @pytest.fixture(scope="module")
@@ -207,9 +208,21 @@ def test_malformed_input_raises_domain_error(p4, gram4, call):
     lambda w: laplace_quadrature(np.exp, 1.0, T="0.5", decay=(2.0, 0.0)),
     lambda w: laplace_quadrature(np.exp, 1.0, T=0.5, decay=("2", 0.0)),
     lambda w: laplace_quadrature(np.exp, 1.0, T=0.5, decay=(2.0, "0")),
+    # the one-point forms that the scalar check of a point sees
+    lambda w: orbit_observation(w.system, w.xi, np.array("1"), 1e-9),
+    lambda w: resolvent_observation(w.system, w.xi, b"1", 1e-9),
+    lambda w: resolvent_observation(w.system, w.xi, np.array("1"), 1e-9),
+    lambda w: weiss_quotient(w.system, w.xi, w.x_norm, b"1"),
+    lambda w: weiss_quotient(w.system, w.xi, w.x_norm, np.array("1")),
+    lambda w: weiss_norm_orthonormal(w.system, "1", 1e-9),
+    lambda w: weiss_norm_orthonormal(w.system, b"1", 1e-9),
+    lambda w: weiss_norm_orthonormal(w.system, np.array("1"), 1e-9),
 ], ids=["orbit-t", "orbit-t-list", "orbit-t-bytes", "resolvent-lambda",
         "weiss-lambda", "weiss-lambda-list", "laplace-lambda", "laplace-T",
-        "laplace-decay-M", "laplace-decay-alpha"])
+        "laplace-decay-M", "laplace-decay-alpha", "orbit-t-0d",
+        "resolvent-lambda-bytes", "resolvent-lambda-0d", "weiss-lambda-bytes",
+        "weiss-lambda-0d", "orthonormal-lambda", "orthonormal-lambda-bytes",
+        "orthonormal-lambda-0d"])
 def test_numeric_strings_raise_domain_error(p4, call):
     # NumPy parses numeric strings; points are rejected as scalars are
     with pytest.raises(DomainError, match="must be"):

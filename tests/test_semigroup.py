@@ -407,35 +407,82 @@ def test_orbit_batch_matches_per_point_loop(witness4):
     assert type(loop[0].value) is float and type(loop[0].n_terms) is int
 
 
-def test_resolvent_batch_matches_per_point_loop(witness4):
-    sys_, xi = witness4.system, witness4.xi
-    lams = lambda_grid()
+def half_plane_probe(n=20_000, seed=24):
+    """Seeded points: moduli log-uniform on [1e-6, 1e10], arguments uniform
+    within +-(pi/2 - 0.01)."""
+    rng = np.random.default_rng(seed)
+    mods = 10.0 ** rng.uniform(-6.0, 10.0, n)
+    args = rng.uniform(-(math.pi / 2 - 0.01), math.pi / 2 - 0.01, n)
+    return mods * np.exp(1j * args)
+
+
+POINT_SETS = {"scan": lambda_grid, "grid": lambda: lambda_grid(49, 33),
+              "probe": half_plane_probe}
+# one point in every form a caller may pass it; a form changes no bit
+ONE_POINT_FORMS = (complex, float, int, np.complex128, np.float64, np.array,
+                   lambda k: np.array(complex(k)))
+INTEGER_POINTS = (1, 3, 100, 10**6, 2**40)
+
+
+@pytest.fixture(scope="module", params=[3.0, 4.0, 8.0],
+                ids=lambda q: f"q{q:g}")
+def witness(request):
+    return witness_system(CounterexampleParams(request.param))
+
+
+def bits(values, dtype):
+    """values as the bytes of a dtype array: equal bits, not equal values."""
+    return np.asarray(values, dtype).tobytes()
+
+
+@pytest.mark.parametrize("points", list(POINT_SETS))
+def test_resolvent_batch_matches_per_point_loop(witness, points):
+    sys_, xi = witness.system, witness.xi
+    lams = POINT_SETS[points]()
     batch = resolvent_observation(sys_, xi, lams, 1e-12)
     loop = [resolvent_observation(sys_, xi, lam, 1e-12) for lam in lams]
-    assert all(complex(got) == obs.value
-               for got, obs in zip(batch.value, loop))
-    assert np.array_equal(batch.tail_bound, [obs.tail_bound for obs in loop])
+    assert bits(batch.value, complex) == bits([o.value for o in loop], complex)
+    assert bits(batch.tail_bound, float) == bits([o.tail_bound for o in loop],
+                                                 float)
     assert type(batch.n_terms) is int
     assert batch.n_terms == max(obs.n_terms for obs in loop)
-    assert type(loop[0].value) is complex
+    assert {(type(o.value), type(o.tail_bound), type(o.n_terms))
+            for o in loop} == {(complex, float, int)}
+    batch = resolvent_observation(sys_, xi, np.array(INTEGER_POINTS, complex),
+                                  1e-12)
+    for k, value, tail in zip(INTEGER_POINTS, batch.value, batch.tail_bound):
+        for form in ONE_POINT_FORMS:
+            obs = resolvent_observation(sys_, xi, form(k), 1e-12)
+            assert bits(obs.value, complex) == bits(value, complex)
+            assert bits(obs.tail_bound, float) == bits(tail, float)
+            assert obs.n_terms == batch.n_terms
+            assert (type(obs.value), type(obs.tail_bound),
+                    type(obs.n_terms)) == (complex, float, int)
 
 
-def test_weiss_quotient_batch_matches_per_point_loop(witness4):
-    lams = lambda_grid(n_moduli=49, n_args=33)
-    args = (witness4.system, witness4.xi, witness4.x_norm)
+@pytest.mark.parametrize("points", list(POINT_SETS))
+def test_weiss_quotient_batch_matches_per_point_loop(witness, points):
+    lams = POINT_SETS[points]()
+    args = (witness.system, witness.xi, witness.x_norm)
     batch = weiss_quotient(*args, lams)
     loop = [weiss_quotient(*args, lam) for lam in lams]
-    assert np.array_equal(batch, loop)
-    assert type(loop[0]) is float
+    assert bits(batch, float) == bits(loop, float)
+    assert {type(got) for got in loop} == {float}
     # the modulus is np.abs, one array pass; Python's abs(complex) differs
     # from it in the last bit at some points
     res = [resolvent_observation(*args[:2], lam, 1e-12).value for lam in lams]
     want = [np.sqrt(lam.real) * np.abs(r) / args[2]
             for lam, r in zip(lams, res)]
-    assert np.array_equal(batch, want)
+    assert bits(batch, float) == bits(want, float)
     python_abs = [math.sqrt(lam.real) * abs(r) / args[2]
                   for lam, r in zip(lams, res)]
     assert np.allclose(batch, python_abs, rtol=1e-15, atol=0.0)
+    batch = weiss_quotient(*args, np.array(INTEGER_POINTS, complex))
+    for k, quotient in zip(INTEGER_POINTS, batch):
+        for form in ONE_POINT_FORMS:
+            got = weiss_quotient(*args, form(k))
+            assert type(got) is float
+            assert bits(got, float) == bits(quotient, float)
 
 
 def test_weiss_norm_orthonormal_batch_matches_per_point_loop():
@@ -582,15 +629,20 @@ def test_non_finite_points_are_domain_errors(bad, witness4):
     resolvent_observation(sys_, xi, 1.0, 1e-12)  # a kept certificate
     lams = [complex(bad, 1.0), complex(1.0, bad), complex(bad, bad)]
     lams = [lam for lam in lams if not lam.real < 0.0]
+    # and points off the open right half-plane, finite or not
+    lams += [complex(-abs(bad), 1.0), complex(0.0, bad), 0j, -0.0, -1.0]
     for lam in lams:
-        for point in (lam, np.array([1.0 + 1.0j, lam])):
+        # one point is checked as a scalar, in every form it may come in
+        for point in (lam, np.complex128(lam), np.array(lam),
+                      np.array([1.0 + 1.0j, lam])):
             with pytest.raises(DomainError):
                 resolvent_observation(sys_, xi, point, 1e-12)
             with pytest.raises(DomainError):
                 weiss_quotient(sys_, xi, x_norm, point)
             with pytest.raises(DomainError):
                 weiss_norm_orthonormal(sys_, point, 1e-12)
-    for t in (bad, np.array([1.0, bad])):
+    for t in (bad, np.float64(bad), np.array(bad), -abs(bad), 0.0, -0.0,
+              np.float64(-1.0), np.array(0.0), np.array([1.0, bad])):
         with pytest.raises(DomainError):
             orbit_observation(sys_, xi, t, 1e-12)
         with pytest.raises(DomainError):

@@ -9,7 +9,8 @@ tree that goes first alternates from pair to pair, so a drift of the
 host's speed weighs on both alike. Every run's end-to-end metrics,
 operation counts and environment go to the output file, with each metric's
 median on both sides, the change's median over the parent's, and the
-number of pairs in which the change did better. Before the pairs, each
+number of pairs in which the change did better, each side's quartiles
+and whether the gain rule is met (see `summarize`). Before the pairs, each
 tree's tier-1 suite (`python -m pytest -q --continue-on-collection-errors`
 with the tree's `src/` on PYTHONPATH) runs once, and its wall time, exit
 code and outcome counts go to the output too. Each metric's direction
@@ -92,16 +93,24 @@ def run_tier1(tree):
 
 
 def summarize(pairs, gates):
-    """Per metric: both medians, their ratio, wins of the change, flag.
+    """Per metric: both medians and quartiles, their ratio, wins of the
+    change, the move flag and whether the gain rule is met.
 
     gates maps a metric's name to its BENCHMARK.json entry; a metric
-    without one counts lower as better and is never flagged.
+    without one counts lower as better and is never flagged. Quartiles
+    are statistics.quantiles' default (exclusive) cut points, None with
+    fewer than two pairs. The gain rule: the change is better in at least
+    nine tenths of the pairs (ties count for neither side), and its median
+    is better than the parent's by more than the parent's interquartile
+    range.
     """
     summary = {}
     for name in pairs[0]["parent"]["metrics"]:
         values = {side: [p[side]["metrics"][name] for p in pairs]
                   for side in SIDES}
         medians = {side: statistics.median(values[side]) for side in SIDES}
+        quartiles = {side: statistics.quantiles(values[side])
+                     if len(pairs) > 1 else None for side in SIDES}
         ratio = medians["change"] / medians["parent"] \
             if medians["parent"] else None
         gate = gates.get(name, {})
@@ -109,14 +118,29 @@ def summarize(pairs, gates):
         sign = -1.0 if gate.get("better", "lower") == "lower" else 1.0
         wins = sum(1 for a, b in zip(values["parent"], values["change"])
                    if sign * (b - a) > 0.0)
+        parent_q = quartiles["parent"]
         summary[name] = {
             "parent_median": medians["parent"],
             "change_median": medians["change"], "ratio": ratio,
+            "parent_quartiles": parent_q,
+            "change_quartiles": quartiles["change"],
             "change_better_pairs": wins, "pairs": len(pairs),
             "bound": bound,
             "flagged": None not in (ratio, bound)
-            and abs(ratio - 1.0) > bound}
+            and abs(ratio - 1.0) > bound,
+            "gain_rule_met": parent_q is not None
+            and 10 * wins >= 9 * len(pairs)
+            and sign * (medians["change"] - medians["parent"])
+            > parent_q[2] - parent_q[0]}
     return summary
+
+
+def spread(quartiles):
+    """Quartiles and their distance as text, or n/a."""
+    if quartiles is None:
+        return "n/a"
+    q1, _, q3 = quartiles
+    return f"[{q1:.4g}, {q3:.4g}] IQR {q3 - q1:.3g}"
 
 
 def main(argv=None):
@@ -151,7 +175,10 @@ def main(argv=None):
             ratio = "n/a" if s["ratio"] is None else f"{s['ratio']:.3f}"
             print(f"{workload} {name}: median {s['parent_median']:.4g} -> "
                   f"{s['change_median']:.4g} (x{ratio}), change better in "
-                  f"{s['change_better_pairs']}/{s['pairs']} pairs"
+                  f"{s['change_better_pairs']}/{s['pairs']} pairs; quartiles "
+                  f"parent {spread(s['parent_quartiles'])}, change "
+                  f"{spread(s['change_quartiles'])}; gain rule "
+                  + ("met" if s["gain_rule_met"] else "not met")
                   + ("  FLAG: moved more than its bound "
                      f"{100 * s['bound']:.0f}%" if s["flagged"] else ""))
     with open(args.out, "w") as fh:
