@@ -9,17 +9,24 @@ Both return the per-panel array; quadrature._halving_estimate sums it.
 A pass's weighted sums are one BLAS matrix-vector product, a row a panel;
 OpenBLAS sums the last (rows mod 4) rows of a call, and every row of a call
 with fewer than 4, in another order. So each pass repeats its last edge,
-and each panel argument its last value, to whole 4-row groups: a panel's
-sum is the same, bit for bit, wherever it sits in a call.
+and each panel argument its last value, to whole 4-row groups (pad_groups,
+which semigroup.orbit_callable applies to its points too): a panel's sum
+is the same, bit for bit, wherever it sits in a call.
 """
 import numpy as np
 
-__all__ = ["GAUSS_ORDER", "gauss_contributions", "powcos_panels"]
+__all__ = ["GAUSS_ORDER", "gauss_contributions", "pad_groups", "powcos_panels"]
 
 GAUSS_ORDER = 12
 _NODES, _WEIGHTS = (np.ascontiguousarray(a)
                     for a in np.polynomial.legendre.leggauss(GAUSS_ORDER))
 _BLOCK = 8192  # panels per array pass
+
+
+def pad_groups(a, n):
+    """a with its last entry repeated -n mod 4 times, so that n rows make
+    whole 4-row groups; a itself, not a copy, when they already do."""
+    return np.pad(a, (0, -n % 4), "edge") if n % 4 else a
 
 
 def gauss_contributions(f, edges, *panel_args):
@@ -33,7 +40,7 @@ def gauss_contributions(f, edges, *panel_args):
     out = None
     for i in range(0, max(edges.size - 1, 1), _BLOCK):
         n = max(min(edges.size - 1 - i, _BLOCK), 0)
-        e, *args = (np.pad(a, (0, -n % 4), "edge") for a in (
+        e, *args = (pad_groups(a, n) for a in (
             edges[i:i + _BLOCK + 1], *(a[i:i + _BLOCK] for a in panel_args)))
         m, h2 = 0.5 * (e[1:] + e[:-1])[:, None], 0.5 * np.diff(e)[:, None]
         part = h2[:, 0] * (f(m + h2 * _NODES, m, h2,

@@ -144,12 +144,9 @@ def _random_finite_system(rng):
     mu = np.cumsum(rng.uniform(0.3, 3.0, n))
     c = rng.uniform(-2.0, 2.0, n)
     xi = rng.uniform(-2.0, 2.0, n)
-    pad = max(2, n)
-    system = semigroup.DiagonalSystem(
-        lambda k: mu[k] if k < n else mu[-1] + 1.0 + k,
-        lambda k: c[k] if k < n else 0.0,
-        n_active=pad)
-    return system, semigroup.CoefficientVector(xi)
+    if n == 1:  # a system has at least 2 modes; c_1 = 0 leaves one observed
+        mu, c = np.append(mu, mu[0] + 2.0), np.append(c, 0.0)
+    return semigroup.DiagonalSystem(mu, c), semigroup.CoefficientVector(xi)
 
 
 def _laplace_lambda_points():
@@ -370,12 +367,12 @@ def _run_lorentz_norm(args):
 def run(args):
     if args.command == "lorentz-norm":  # prints its norm, writes no file
         return _run_lorentz_norm(args)
-    outdir = _resolve_output_dir(args)
     _validate_window(args)
     if args.seed < 0:
         raise DomainError("seed must be a nonnegative integer")
     spec = QuadratureSpec(relative_tolerance=args.tol)
     params = ce.CounterexampleParams(args.q)
+    outdir = _resolve_output_dir(args)  # only for a valid configuration
     # the suites' shared inputs, built once; the witness on first use, in
     # the guarded suite that needs it, so a failed build is its failed check
     witness = functools.cache(lambda: ce.witness_system(params, spec=spec))

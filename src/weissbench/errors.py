@@ -1,4 +1,5 @@
 """Exception types shared across the package, and the checks raising them."""
+import math
 import numbers
 
 import numpy as np
@@ -68,6 +69,22 @@ def _array(value, name, dtype=float):
         return points if points.dtype == dtype else np.asarray(value, dtype)
     except (TypeError, ValueError):
         raise DomainError(f"{name} must be numeric, got {value!r}") from None
+
+
+def _points(x, dtype, what):
+    """x as a 0-d (one point) or 1-d array of points in the domain: finite,
+    with a positive real part; else DomainError."""
+    points = _array(x, what, dtype)
+    if points.ndim == 0:  # checked as Python scalars, not by array passes
+        z = points.item()
+        inside = 0.0 < z.real < math.inf and math.isfinite(z.imag)
+    elif points.ndim == 1 and points.size:
+        inside = points.real.min() > 0.0 and np.isfinite(points).all()
+    else:
+        raise DomainError(f"{what} must be one point or a nonempty 1-d array")
+    if not inside:
+        raise DomainError(f"{what} must be finite with a positive real part")
+    return points
 
 
 EXIT_OK = 0

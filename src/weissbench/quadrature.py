@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import _NODES, GAUSS_ORDER, gauss_contributions, powcos_panels
-from .errors import DomainError, ToleranceNotMet, _array, _integer, _real
+from .errors import DomainError, ToleranceNotMet, _integer, _points, _real
 
 __all__ = [
     "QuadratureSpec",
@@ -221,19 +221,12 @@ def laplace_quadrature(orbit, lam, spec=DEFAULT_SPEC, *, T, decay):
     called. The caller chooses T so the discarded tail is below tolerance.
     One lam returns a complex, an array of them a complex array.
     """
-    lams = _array(lam, "lambda", complex)
-    Ts = _array(T, "T")
-    if lams.ndim > 1 or not lams.size or Ts.shape not in ((), lams.shape):
-        raise DomainError("lambda must be one point or a nonempty 1-d "
-                          "array, and T one value or one per point")
+    lams, Ts = _points(lam, complex, "lambda"), _points(T, float, "T")
+    if Ts.shape not in ((), lams.shape):
+        raise DomainError("T must be one value or one per point")
     one = lams.ndim == 0
     lams = lams.reshape(-1)
     Ts = np.broadcast_to(Ts, lams.shape)
-    if not (np.isfinite(lams).all() and lams.real.min() > 0.0):
-        raise DomainError("laplace_quadrature needs finite lambda with "
-                          "Re(lambda) > 0")
-    if not (np.isfinite(Ts).all() and Ts.min() > 0.0):
-        raise DomainError("cutoff T must be finite and positive")
     try:
         M, alpha = (_real(v, "decay") for v in decay)
     except (TypeError, ValueError):

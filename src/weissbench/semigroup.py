@@ -1,11 +1,12 @@
 """Diagonal semigroup observation systems.
 
-A DiagonalSystem holds eigenvalue and observation rules (mu_k, c_k) for a
+A DiagonalSystem holds eigenvalue and observation arrays (mu_k, c_k) for a
 diagonal generator with exponentially stable semigroup e^{-mu_k t} and a
 scalar observation functional. Orbits, resolvents, and Weiss quotients are
 truncated series whose returned values always come with a certified tail
 bound: terms inside the active range are summed exactly (fsum) and the part
-beyond the smallest admissible index is bounded by measured geometric decay.
+beyond the smallest admissible index is bounded by measured geometric decay,
+both by _truncate, the one routine that certifies a truncation.
 Observations take one point or a 1-d array of finite points; each point
 keeps its own truncation and value, bit for bit the same either way; one
 point is checked as Python scalars and skips the batch's array overhead.
@@ -18,8 +19,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._kernels import pad_groups
 from .errors import (DivergentSum, DomainError, TruncationOverflow, _array,
-                     _integer, _real)
+                     _integer, _points, _real)
 
 __all__ = [
     "DiagonalSystem",
@@ -64,28 +66,28 @@ def _freeze(obj, **slots):
 class DiagonalSystem:
     """Diagonal generator with eigenvalues mu_k and observation weights c_k.
 
-    Immutable: read-only arrays, and setting an attribute raises.
+    mu and c are 1-d arrays of one length n_active >= 2, copied. Immutable:
+    read-only arrays, and setting an attribute raises.
     """
 
     __slots__ = ("mu", "c", "n_active")
 
-    def __init__(self, mu_rule, c_rule, n_active=64):
-        n_active = _integer(n_active, "n_active", 2)
-        k = np.arange(n_active)
-        mu = np.asarray([float(mu_rule(int(i))) for i in k])
-        c = np.asarray([float(c_rule(int(i))) for i in k])
+    def __init__(self, mu, c):
+        mu, c = (_array(a, name).copy() for a, name in ((mu, "mu"), (c, "c")))
+        if mu.ndim != 1 or mu.shape != c.shape or mu.size < 2:
+            raise DomainError("mu and c must be 1-d arrays of one length >= 2")
         if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(c))):
-            raise DomainError("mu/c rules overflow float range inside n_active")
+            raise DomainError("mu and c must be finite")
         if not (mu[0] > 0.0 and np.all(np.diff(mu) > 0.0)):
             raise DomainError("mu must be positive and strictly increasing")
         terms = np.abs(c) / mu
         if not math.isfinite(math.fsum(terms)):
             raise DomainError("sum |c_k|/mu_k overflows over active modes")
-        if n_active >= 32 and _upper_half_ratio(terms) > 1.0:
+        if mu.size >= 32 and _upper_half_ratio(terms) > 1.0:
             raise DomainError(
                 "terms |c_k|/mu_k grow over the active modes; the "
                 "resolvent series shows no sign of convergence")
-        _freeze(self, mu=mu, c=c, n_active=n_active)
+        _freeze(self, mu=mu, c=c, n_active=mu.size)
 
     def __setattr__(self, name, value):
         raise AttributeError("DiagonalSystem is immutable")
@@ -93,12 +95,14 @@ class DiagonalSystem:
     @classmethod
     def default(cls, n_active=64):
         """mu_k = 4^k, c_k = 2^k."""
-        return cls(lambda k: 4.0**k, lambda k: 2.0**k, n_active)
+        k = range(_integer(n_active, "n_active", 2))
+        return cls([4.0**i for i in k], [2.0**i for i in k])
 
     @classmethod
     def sqrt_observation(cls, n_active=64):
         """mu_k = 2^k, c_k = mu_k^(1/2)."""
-        return cls(lambda k: 2.0**k, lambda k: 2.0 ** (0.5 * k), n_active)
+        k = range(_integer(n_active, "n_active", 2))
+        return cls([2.0**i for i in k], [2.0 ** (0.5 * i) for i in k])
 
 
 class CoefficientVector:
@@ -132,17 +136,18 @@ class ObservedValue(NamedTuple):
     n_terms: int
 
 
-def _certified_counts(abs_terms, weights, tail_sup, tol, what):
-    """Smallest-N truncation of each row, its tail certified below tol.
+def _truncate(terms, weights, tail_sup, tol, what):
+    """Each row of terms truncated where its tail is certified below tol, and
+    its kept head summed exactly (fsum): (sums, tails, counts).
 
     Beyond the active range the tail is at most tail_sup times the sum of
     the per-mode factors in weights (c_k e^{-mu_k t} or c_k/mu_k); their
     measured decay must be geometric with non-increasing ratios at the end,
     which extends rigorously to log-convex growth rules like the default
     powers-of-two/four systems. Row i then keeps the smallest count N_i
-    whose tail sum_{k>=N_i} abs_terms[i, k] + beyond_i is below tol; the
-    counts and those tails are returned. weights holds a row for every row
-    of abs_terms, or one shared by all.
+    whose tail sum_{k>=N_i} |terms[i, k]| + beyond_i is below tol. sums is
+    a list of floats, tails and counts are arrays, one entry a row. weights
+    holds a row for every row of terms, or one shared by all.
     """
     if not _real(tol, "tol") > 0.0:
         raise DomainError("tol must be positive")
@@ -167,39 +172,14 @@ def _certified_counts(abs_terms, weights, tail_sup, tol, what):
         raise TruncationOverflow(
             f"{what}: tail beyond the active range is certified only to "
             f"{beyond.max():.3e}, above tolerance {tol:.3e}")
-    suffix = np.zeros(abs_terms.shape)
-    suffix[:, :-1] = abs_terms[:, :0:-1].cumsum(1)[:, ::-1]
+    suffix = np.zeros(terms.shape)
+    suffix[:, :-1] = np.abs(terms[:, :0:-1]).cumsum(1)[:, ::-1]
     suffix *= 1.0 + 256.0 * _EPS  # cumsum roundoff must not undercut the bound
     bounds = suffix + beyond[:, None]
     first = (bounds < tol).argmax(1)  # the last column always passes
-    return first + 1, bounds[np.arange(len(bounds)), first]
-
-
-def _complex_fsum(row):
-    """A complex 1-d row summed exactly (fsum), part by part."""
-    return complex(math.fsum(row.real.tolist()), math.fsum(row.imag.tolist()))
-
-
-def _fsums(terms, counts):
-    """The first counts[i] terms of each row i, summed exactly (fsum)."""
-    if np.iscomplexobj(terms):
-        return [_complex_fsum(row[:n]) for row, n in zip(terms, counts)]
-    return [math.fsum(row[:n].tolist()) for row, n in zip(terms, counts)]
-
-
-def _points(x, dtype, what):
-    """x as a 0-d (one point) or 1-d array of points in the domain."""
-    points = _array(x, what, dtype)
-    if points.ndim == 0:  # checked as Python scalars, not by array passes
-        z = points.item()
-        inside = 0.0 < z.real < math.inf and math.isfinite(z.imag)
-    elif points.ndim == 1 and points.size:
-        inside = points.real.min() > 0.0 and np.isfinite(points).all()
-    else:
-        raise DomainError(f"{what} must be one point or a nonempty 1-d array")
-    if not inside:
-        raise DomainError(f"{what} must be finite with a positive real part")
-    return points
+    counts = first + 1
+    sums = [math.fsum(row[:n].tolist()) for row, n in zip(terms, counts)]
+    return sums, bounds[np.arange(len(bounds)), first], counts
 
 
 def _active_slice(sys, xi):
@@ -216,10 +196,8 @@ def orbit_observation(sys, xi, t, tol):
     t = _points(t, float, "t")
     v, mu, c = _active_slice(sys, xi)
     decay = np.exp(-mu * t.reshape(-1, 1))
-    terms = v * c * decay
-    counts, tails = _certified_counts(np.abs(terms), np.abs(c) * decay,
-                                      xi.tail_sup, tol, "orbit_observation")
-    sums = _fsums(terms, counts)
+    sums, tails, counts = _truncate(v * c * decay, np.abs(c) * decay,
+                                    xi.tail_sup, tol, "orbit_observation")
     if t.ndim == 0:
         return ObservedValue(sums[0], float(tails[0]), int(counts[0]))
     return ObservedValue(np.array(sums), tails, int(counts.max()))
@@ -237,18 +215,21 @@ def resolvent_observation(sys, xi, lam, tol):
     entry = xi._resolvent
     if entry is None or entry[0] is not sys or entry[1] != tol:
         v, mu, c = _active_slice(sys, xi)
-        weights = np.abs(c) / mu
-        counts, tails = _certified_counts(
-            (np.abs(v) * weights)[None], weights[None], xi.tail_sup, tol,
-            "resolvent_observation")
+        weights = np.abs(c) / mu  # |v w| is |v| w, bit for bit: w >= 0
+        _, tails, counts = _truncate((v * weights)[None], weights[None],
+                                     xi.tail_sup, tol, "resolvent_observation")
         n = int(counts[0])
         entry = (sys, tol, n, float(tails[0]),
                  (v * c)[:n].astype(complex), mu[:n])
         object.__setattr__(xi, "_resolvent", entry)
     _, _, n, tail, vc, mu = entry
     if lam.ndim == 0:  # the batch's division and sum of a row, for one
-        return ObservedValue(_complex_fsum(vc / (mu + lam.item())), tail, n)
-    sums = _fsums(vc / (lam[:, None] + mu), [n] * lam.size)
+        row = vc / (mu + lam.item())
+        return ObservedValue(complex(math.fsum(row.real.tolist()),
+                                     math.fsum(row.imag.tolist())), tail, n)
+    rows = vc / (lam[:, None] + mu)
+    sums = [complex(math.fsum(re), math.fsum(im))
+            for re, im in zip(rows.real.tolist(), rows.imag.tolist())]
     return ObservedValue(np.array(sums), np.full(lam.size, tail), n)
 
 
@@ -258,8 +239,8 @@ def orbit_callable(sys, xi):
     Used as the integrand factory for Laplace quadrature: keeping all active
     modes makes the callable exact for finite vectors and accurate to the
     beyond-active tail otherwise. Any t is evaluated flattened, padded by
-    its last point to whole 4-row BLAS groups, as _kernels pads panels, so
-    a point's value is the same, bit for bit, in any batch. The trailing
+    its last point to whole 4-row BLAS groups by _kernels.pad_groups, as
+    panels are, so a point's value is the same, bit for bit, in any batch. The trailing
     modes with mu_k min(t) above _UNDERFLOW are skipped: their exponentials
     are +0.0 at every point, and so are their terms of the sum.
     """
@@ -272,7 +253,7 @@ def orbit_callable(sys, xi):
         if t.ndim != 1:  # elementwise: the same values as t flattened
             return orbit(t.reshape(-1)).reshape(t.shape)
         n = t.size
-        t = np.pad(t, (0, -n % 4), "edge") if n % 4 else t
+        t = pad_groups(t, n)
         # mu t, not a division by t, which overflows for a subnormal t; the
         # dead modes are a suffix, a NaN min keeps every mode, an empty t none
         k = np.count_nonzero(~(mu * t.min(initial=math.inf) > _UNDERFLOW))
@@ -322,10 +303,9 @@ def weiss_norm_orthonormal(sys, lam, tol):
         raise DivergentSum(
             "sum c_k^2/mu_k^2 diverges over the active modes")
     terms = sys.c**2 / np.abs(lam.reshape(-1, 1) + sys.mu) ** 2
-    counts, _ = _certified_counts(terms, limit[None], 1.0, tol,
-                                  "weiss_norm_orthonormal")
-    sums = np.array(_fsums(terms, counts))
-    norms = np.sqrt(lam.real) * np.sqrt(sums)
+    sums, _, _ = _truncate(terms, limit[None], 1.0, tol,
+                           "weiss_norm_orthonormal")
+    norms = np.sqrt(lam.real) * np.sqrt(np.array(sums))
     return float(norms[0]) if lam.ndim == 0 else norms
 
 

@@ -143,10 +143,9 @@ def test_criterion_3_laplace_identity(criterion):
             mu = np.cumsum(rng.uniform(0.3, 3.0, n))
             c = rng.uniform(-2.0, 2.0, n)
             v = rng.uniform(-2.0, 2.0, n)
-            system = DiagonalSystem(
-                lambda k, _m=mu, _n=n: _m[k] if k < _n else _m[-1] + 1.0 + k,
-                lambda k, _c=c, _n=n: _c[k] if k < _n else 0.0,
-                n_active=max(2, n))
+            # n = 1 takes a second, unobserved mode
+            system = DiagonalSystem(np.append(mu, mu[-1] + 2.0)[:max(2, n)],
+                                    np.append(c, 0.0)[:max(2, n)])
             xi = CoefficientVector(v)
             orbit = orbit_callable(system, xi)
             decay = orbit_decay_bound(system, xi, 0.0)

@@ -154,9 +154,11 @@ def test_lorentz_norm_overflow_is_config_error(tmp_path, capsys):
     ["counterexample", "--q", "2e16"],  # q >= 2^54, outside the domain
 ])
 def test_invalid_configuration_exits_2(tmp_path, capsys, argv):
-    code = main(argv + ["--output-dir", str(tmp_path)])
+    out = tmp_path / "new" / "out"  # an invalid run creates no directory
+    code = main(argv + ["--output-dir", str(out)])
     assert code == EXIT_CONFIG_INVALID
     assert "invalid configuration" in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
 
 
 # ---------------------------------------------------------------- suites

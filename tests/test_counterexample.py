@@ -401,8 +401,7 @@ def test_orbit_lower_bound_validation(p4):
 def test_orbit_lower_bound_violation_detected(p4, table4):
     # a witness whose observation weights are far too small cannot clear the
     # bound built from its own coefficients
-    weak = DiagonalSystem(lambda k: 4.0**k, lambda k: 0.01 if k == 0 else 0.0,
-                          n_active=2)
+    weak = DiagonalSystem([1.0, 4.0], [0.01, 0.0])
     wit = WitnessSystem(weak, CoefficientVector([1.0, 1.0]), 1.0, table4)
     with pytest.raises(BoundViolated) as info:
         orbit_lower_bound_check(p4, (0, 0), 2, witness=wit)

@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 
-from weissbench._kernels import _BLOCK, gauss_contributions, powcos_panels
+from weissbench._kernels import (_BLOCK, gauss_contributions, pad_groups,
+                                powcos_panels)
 from weissbench.quadrature import (_EPS, _graded_mesh, _halving_estimate,
                                    singular_end)
 
@@ -72,6 +73,13 @@ def test_panel_sums_do_not_depend_on_their_place_in_a_call():
                                      arg[start:start + n])
                 assert np.array_equal(part, full[start:start + n])
         assert contributions(edges[:1], arg[:0]).shape == (0,)
+    # the padding: the last entry repeated to whole groups of n rows, and
+    # whole groups returned as they are, not copied
+    for n in range(9):
+        head = edges[:n + 1]
+        padded = pad_groups(head, n)
+        assert np.array_equal(padded, np.r_[head, [edges[n]] * (-n % 4)])
+        assert (padded is head) == (n % 4 == 0)
 
 
 def fine_panels(contributions, edges):

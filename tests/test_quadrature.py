@@ -197,7 +197,7 @@ def test_laplace_three_mode_orbit_closed_form():
     rng = np.random.default_rng(11)
     mu = np.cumsum(rng.uniform(0.3, 3.0, 3))
     c, x = rng.uniform(-2.0, 2.0, 3), rng.uniform(-2.0, 2.0, 3)
-    system = DiagonalSystem(lambda k: mu[k], lambda k: c[k], n_active=3)
+    system = DiagonalSystem(mu, c)
     xi = CoefficientVector(x)
     orbit, decay = orbit_callable(system, xi), orbit_decay_bound(system, xi,
                                                                   0.0)

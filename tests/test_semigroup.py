@@ -17,23 +17,36 @@ from weissbench.semigroup import (decay_norm_orthonormal, lambda_grid,
 
 def one_mode(mu0=1.0, c0=1.0):
     """Single observed mode padded to the minimum active range."""
-    return DiagonalSystem(lambda k: mu0 * (1.0 + 2.0 * k),
-                          lambda k: c0 if k == 0 else 0.0, n_active=2)
+    return DiagonalSystem([mu0, mu0 * 3.0], [c0, 0.0])
+
+
+def linear(n):
+    """mu_k = 1 + k and c_k = 1 over n modes."""
+    return DiagonalSystem(1.0 + np.arange(n), np.ones(n))
 
 
 # ------------------------------------------------------------ construction
 def test_system_validation():
-    with pytest.raises(DomainError):
-        DiagonalSystem(lambda k: 4.0**k, lambda k: 2.0**k, n_active=1)
-    with pytest.raises(DomainError):
-        DiagonalSystem(lambda k: -1.0 + k, lambda k: 1.0, 4)  # mu[0] <= 0
-    with pytest.raises(DomainError):
-        DiagonalSystem(lambda k: 1.0, lambda k: 1.0, 4)  # not increasing
-    with pytest.raises(DomainError):
-        DiagonalSystem(lambda k: math.inf if k else 1.0, lambda k: 1.0, 4)
-    with pytest.raises(DomainError):
-        # |c_k|/mu_k grows over the active range: no convergent resolvent
-        DiagonalSystem(lambda k: 1.0 + k, lambda k: 3.0**k, 64)
+    k = np.arange(4.0)
+    for mu, c in (([1.0], [2.0]),  # a single mode
+                  (4.0**k, 2.0 ** k[:3]),  # unequal lengths
+                  (np.ones((2, 2)), np.ones((2, 2))),  # 2-d
+                  ("1", "1"), (4.0**k, "1"), (["1", "4"], [1.0, 2.0]),
+                  (-1.0 + k, np.ones(4)),  # mu[0] <= 0
+                  (np.ones(4), np.ones(4)),  # not increasing
+                  ([1.0, math.inf, math.inf, math.inf], np.ones(4)),
+                  ([1.0, math.nan, 3.0, 4.0], np.ones(4)),
+                  (4.0**k, [1.0, -math.inf, 1.0, 1.0]),
+                  (4.0**k, [1.0, math.nan, 1.0, 1.0]),
+                  # |c_k|/mu_k grows over the active range: no convergent
+                  # resolvent
+                  (1.0 + np.arange(64), 3.0 ** np.arange(64))):
+        with pytest.raises(DomainError):
+            DiagonalSystem(mu, c)
+    for bad in (1, 2.5, math.nan, "8"):
+        for rule in (DiagonalSystem.default, DiagonalSystem.sqrt_observation):
+            with pytest.raises(DomainError):
+                rule(n_active=bad)
 
 
 def test_default_rules():
@@ -42,7 +55,8 @@ def test_default_rules():
     assert np.array_equal(sys_.c, 2.0 ** np.arange(8))
     ortho = DiagonalSystem.sqrt_observation(n_active=8)
     assert np.array_equal(ortho.mu, 2.0 ** np.arange(8))
-    assert ortho.c == pytest.approx(np.sqrt(ortho.mu), rel=1e-15)
+    assert np.array_equal(ortho.c, [2.0 ** (0.5 * k) for k in range(8)])
+    assert (sys_.n_active, ortho.n_active) == (8, 8)
 
 
 def test_coefficient_vector_validation():
@@ -91,7 +105,7 @@ def test_resolvent_against_frozen_reference():
 
 def test_signed_coefficients_tail_honest():
     # alternating signs must not shrink the certified tail below the truth
-    sys_ = DiagonalSystem(lambda k: 1.0 + k, lambda k: (-0.5) ** k, 8)
+    sys_ = DiagonalSystem(1.0 + np.arange(8), [(-0.5) ** k for k in range(8)])
     xi = CoefficientVector([1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
     loose = resolvent_observation(sys_, xi, 0.3 + 0.7j, 1e-2)
     tight = resolvent_observation(sys_, xi, 0.3 + 0.7j, 1e-12)
@@ -105,9 +119,9 @@ def test_truncation_brackets_true_value():
         mu = np.cumsum(rng.uniform(0.3, 3.0, n))
         c = rng.uniform(-2.0, 2.0, n)
         v = rng.uniform(-2.0, 2.0, n)
-        sys_ = DiagonalSystem(lambda k: mu[k] if k < n else mu[-1] + 1.0 + k,
-                              lambda k: c[k] if k < n else 0.0,
-                              n_active=max(2, n))
+        # n = 1 takes a second, unobserved mode
+        sys_ = DiagonalSystem(np.append(mu, mu[-1] + 2.0)[:max(2, n)],
+                              np.append(c, 0.0)[:max(2, n)])
         xi = CoefficientVector(v)
         t = float(rng.uniform(0.01, 3.0))
         loose = orbit_observation(sys_, xi, t, 1e-3)
@@ -263,7 +277,7 @@ def test_short_vector_with_tail_rejected():
 
 def test_uncertifiable_tail_rejected():
     # |c|/mu decays like 1/k: too slow for a geometric tail certificate
-    sys_ = DiagonalSystem(lambda k: 1.0 + k, lambda k: 1.0, 64)
+    sys_ = linear(64)
     xi = CoefficientVector(np.ones(64), tail_sup=1.0)
     with pytest.raises(TruncationOverflow):
         resolvent_observation(sys_, xi, 1.0, 1e-6)
@@ -282,7 +296,7 @@ def test_tail_beyond_active_dominates_tolerance():
 def test_finite_vector_never_needs_certificate():
     # zero tail_sup must not trip the geometric-decay requirement even when
     # the active weights decay slowly
-    sys_ = DiagonalSystem(lambda k: 1.0 + k, lambda k: 1.0, 64)
+    sys_ = linear(64)
     xi = CoefficientVector(np.ones(64))
     obs = resolvent_observation(sys_, xi, 2.0, 1e-12)
     want = math.fsum(1.0 / (2.0 + 1.0 + np.arange(64)))
@@ -310,7 +324,7 @@ def test_weiss_norm_orthonormal_one_mode():
 
 
 def test_weiss_norm_orthonormal_divergence_detected():
-    sys_ = DiagonalSystem(lambda k: 2.0**k, lambda k: 2.0**k, 64)
+    sys_ = DiagonalSystem(2.0 ** np.arange(64), 2.0 ** np.arange(64))
     with pytest.raises(DivergentSum):
         weiss_norm_orthonormal(sys_, 1.0, 1e-10)
 
@@ -531,14 +545,34 @@ def test_batch_point_outside_domain_is_domain_error(witness4):
 # ------------------------------------------------- resolvent certificate
 def count_certifications(monkeypatch):
     calls = []
-    certify = semigroup._certified_counts
+    certify = semigroup._truncate
 
     def counting(*args):
         calls.append(args[-1])
         return certify(*args)
 
-    monkeypatch.setattr(semigroup, "_certified_counts", counting)
+    monkeypatch.setattr(semigroup, "_truncate", counting)
     return calls
+
+
+def test_every_truncation_goes_through_one_routine(monkeypatch, witness4):
+    sys_, xi, x_norm = witness4.system, fresh(witness4.xi), witness4.x_norm
+    ortho = DiagonalSystem.sqrt_observation(n_active=60)
+    calls = count_certifications(monkeypatch)
+    for call, what in (
+            (lambda: orbit_observation(sys_, xi, 1e-3, 1e-12),
+             "orbit_observation"),
+            (lambda: resolvent_observation(sys_, xi, 1.0 + 1.0j, 1e-12),
+             "resolvent_observation"),
+            (lambda: weiss_norm_orthonormal(ortho, 2.0, 1e-12),
+             "weiss_norm_orthonormal")):
+        call()
+        assert calls == [what]
+        calls.clear()
+    # the kept certificate serves later resolvent and quotient calls
+    resolvent_observation(sys_, xi, np.array([1.0, 2.0]), 1e-12)
+    weiss_quotient(sys_, xi, x_norm, 3.0)
+    assert calls == []
 
 
 def fresh(xi):
@@ -596,7 +630,7 @@ def test_failed_certification_raises_every_call_and_is_not_kept():
                 resolvent_observation(sys_, xi, 1.0, tol)
         assert xi._resolvent is entry
     assert resolvent_observation(sys_, xi, 1.0, 1e-1) == good
-    slow = DiagonalSystem(lambda k: 1.0 + k, lambda k: 1.0, 64)
+    slow = linear(64)
     xi = CoefficientVector(np.ones(64), tail_sup=1.0)
     for _ in range(3):
         with pytest.raises(TruncationOverflow):
@@ -607,7 +641,9 @@ def test_failed_certification_raises_every_call_and_is_not_kept():
 def test_system_and_coefficients_are_immutable():
     caller = np.array([1.0, 0.5, 0.25])
     xi = CoefficientVector(caller, tail_sup=0.1)
-    sys_ = DiagonalSystem.default(n_active=4)
+    mu, c = 4.0 ** np.arange(4), 2.0 ** np.arange(4)
+    sys_ = DiagonalSystem(mu, c)
+    assert np.array_equal(sys_.mu, mu) and np.array_equal(sys_.c, c)
     for obj, names in ((xi, ("values", "tail_sup", "_resolvent", "other")),
                        (sys_, ("mu", "c", "n_active", "other"))):
         for name in names:
@@ -617,10 +653,12 @@ def test_system_and_coefficients_are_immutable():
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 2.0
-    # the vector copies the caller's array, which stays writable and free
-    assert caller.flags.writeable and not np.shares_memory(caller, xi.values)
-    caller[0] = 7.0
-    assert xi.values[0] == 1.0
+    # the vector and the system copy the caller's arrays, which stay
+    # writable and free
+    for mine, kept in ((caller, xi.values), (mu, sys_.mu), (c, sys_.c)):
+        assert mine.flags.writeable and not np.shares_memory(mine, kept)
+        mine[0] = 7.0
+    assert xi.values[0] == 1.0 and sys_.mu[0] == 1.0 and sys_.c[0] == 1.0
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
