@@ -20,7 +20,7 @@ __all__ = ["GAUSS_ORDER", "gauss_contributions", "pad_groups", "powcos_panels"]
 GAUSS_ORDER = 12
 _NODES, _WEIGHTS = (np.ascontiguousarray(a)
                     for a in np.polynomial.legendre.leggauss(GAUSS_ORDER))
-_BLOCK = 8192  # panels per array pass
+_BLOCK = 2048  # panels per array pass
 
 
 def pad_groups(a, n):

@@ -11,6 +11,7 @@ import functools
 import math
 import os
 import sys
+import threading
 
 import numpy as np
 
@@ -26,6 +27,7 @@ __all__ = ["main", "build_parser"]
 
 _COMMANDS = ("lorentz-norm", "orbit", "weiss-scan", "counterexample",
              "bessel-check", "full-report")
+_WORKERS = 2  # threads that run full-report's suites, the caller's included
 
 
 def build_parser():
@@ -96,15 +98,79 @@ def _lower_bound_check(name, params, n_hi, witness):
     return _guarded(name, body)
 
 
+def _once(build):
+    """A function that calls build() once, under a lock, and then returns
+    its result, or raises what it raised, to every caller in any thread."""
+    lock, outcome = threading.Lock(), []
+
+    def get():
+        with lock:
+            if not outcome:
+                try:
+                    outcome.append((build(), None))
+                except Exception as exc:
+                    outcome.append((None, exc))
+        value, exc = outcome[0]
+        if exc is not None:
+            raise exc
+        return value
+
+    return get
+
+
+def _in_order(jobs):
+    """Each job's result, in job order, from _WORKERS threads that each take
+    the next job in order when free; the caller's thread is one of them, so
+    a single job runs inline. The first job in order that raised re-raises
+    here, and no job starts after a raise, as in a run one after another."""
+    todo = list(reversed(range(len(jobs))))  # popped from the end
+    done = [None] * len(jobs)
+    lock = threading.Lock()
+
+    def work():
+        while True:
+            with lock:
+                if not todo:
+                    return
+                i = todo.pop()
+            try:
+                done[i] = (jobs[i](), None)
+            except BaseException as exc:  # KeyboardInterrupt stops it too
+                done[i] = (None, exc)
+                with lock:
+                    todo.clear()
+
+    helpers = [threading.Thread(target=work)
+               for _ in range(min(_WORKERS, len(jobs)) - 1)]
+    for thread in helpers:
+        thread.start()
+    work()
+    for thread in helpers:
+        thread.join()
+    for _, exc in filter(None, done):
+        if exc is not None:
+            raise exc
+    return [result for result, _ in done]
+
+
 # --------------------------------------------------------------- suites
 # each gets the run's arguments plus params, spec and witness() (see run)
+def _sampled_exp_norm(a):
+    """The (2, 1) norm of e^(-a t) sampled at the cell midpoints of a
+    1e6-step geometric grid; a helper, so each grid is freed before the
+    next is built."""
+    edges = np.logspace(-12.0, math.log10(40.0 / a), 1_000_001)
+    # t is sample_steps' fresh midpoint array: exponentiated in place
+    steps = lorentz.sample_steps(
+        lambda t: np.exp(np.multiply(t, -a, out=t), out=t), edges)
+    return lorentz.lorentz_norm(steps, (2.0, 1.0))
+
+
 def _suite_lorentz_closed_forms(args, outdir):
     rows = []
     worst = 0.0
     for a in (0.5, 1.0, 2.0, 10.0):
-        edges = np.logspace(-12.0, math.log10(40.0 / a), 1_000_001)
-        steps = lorentz.sample_steps(lambda t: np.exp(-a * t), edges)
-        value = lorentz.lorentz_norm(steps, (2.0, 1.0))
+        value = _sampled_exp_norm(a)
         closed = math.sqrt(math.pi / a)
         worst = max(worst, abs(value - closed) / closed)
         rows.append((a, value, closed))
@@ -375,7 +441,7 @@ def run(args):
     outdir = _resolve_output_dir(args)  # only for a valid configuration
     # the suites' shared inputs, built once; the witness on first use, in
     # the guarded suite that needs it, so a failed build is its failed check
-    witness = functools.cache(lambda: ce.witness_system(params, spec=spec))
+    witness = _once(lambda: ce.witness_system(params, spec=spec))
     shared = argparse.Namespace(**vars(args), params=params, spec=spec,
                                 witness=witness)
     suites = (("lorentz-closed-forms", _suite_lorentz_closed_forms),
@@ -384,11 +450,12 @@ def run(args):
               ("orbit", _suite_orbit),
               ("counterexample", _suite_counterexample),
               ("bessel-check", _suite_bessel))
-    checks = []
-    for name, suite in suites:
-        if args.command in (name, "full-report"):
-            checks += _guarded(f"{name}-suite",
-                               functools.partial(suite, shared, outdir))
+    # suites run on _WORKERS threads and join in this order, which starts
+    # with the two heaviest; the artifacts do not depend on the threads
+    jobs = [functools.partial(_guarded, f"{name}-suite",
+                              functools.partial(suite, shared, outdir))
+            for name, suite in suites if args.command in (name, "full-report")]
+    checks = [c for part in _in_order(jobs) for c in part]
     config = {"tol": args.tol, "tau": args.tau, "eps_min": args.eps_min,
               "seed": args.seed, "version": __version__}
     write_summary(os.path.join(outdir, "summary.json"),

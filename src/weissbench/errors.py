@@ -61,12 +61,17 @@ def _real(value, name):
 
 def _array(value, name, dtype=float):
     """value as a NumPy array of dtype, else DomainError; strings, which
-    NumPy would parse, are rejected as _real rejects them."""
+    NumPy would parse, are rejected as _real rejects them, and complex
+    values for a real dtype, which NumPy would cast to their real parts."""
     try:
         points = np.asarray(value)
+        if points.dtype == dtype:
+            return points
         if points.dtype.kind in "SU":
             raise TypeError
-        return points if points.dtype == dtype else np.asarray(value, dtype)
+        if points.dtype.kind == "c" and np.dtype(dtype).kind != "c":
+            raise DomainError(f"{name} must be real, got {value!r}")
+        return np.asarray(value, dtype)
     except (TypeError, ValueError):
         raise DomainError(f"{name} must be numeric, got {value!r}") from None
 

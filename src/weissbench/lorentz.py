@@ -32,6 +32,8 @@ __all__ = [
     "sample_steps",
 ]
 
+_SLICE = 1 << 16  # entries per pass of lorentz_norm's elementwise product
+
 
 @dataclass(frozen=True)
 class LorentzIndex:
@@ -218,7 +220,8 @@ def lorentz_norm(f, idx):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         w /= peak  # w_i / e_i
         peak **= 1.0 / p
-        peak *= v / m
+        for i in range(0, peak.size, _SLICE):  # no full-length v / m
+            peak[i:i + _SLICE] *= v[i:i + _SLICE] / m
         top = float(np.max(peak))
         if q != math.inf:
             np.log1p(np.negative(w, out=w), out=w)

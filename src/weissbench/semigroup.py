@@ -118,7 +118,7 @@ class CoefficientVector:
     __slots__ = ("values", "tail_sup", "_resolvent")
 
     def __init__(self, values, tail_sup=0.0):
-        v = np.array(values, dtype=float)
+        v = _array(values, "coefficients").copy()
         if v.ndim != 1 or v.size == 0 or not np.all(np.isfinite(v)):
             raise DomainError("coefficients must be a finite 1-d float array")
         if not _real(tail_sup, "tail_sup") >= 0.0:

@@ -376,3 +376,167 @@ def test_domain_error_inside_a_suite_exits_2(tmp_path, capsys, monkeypatch):
     assert code == EXIT_CONFIG_INVALID
     assert "invalid configuration: injected" in capsys.readouterr().err
     assert not (tmp_path / "summary.json").exists()
+
+
+# ---------------------------------------------------------- suite threads
+def fast_heavy_suites(monkeypatch, cli):
+    """The two heaviest suites replaced by one cheap check each."""
+    for attr in ("_suite_lorentz_closed_forms", "_suite_laplace_identity"):
+        monkeypatch.setattr(cli, attr, lambda args, outdir, attr=attr: [
+            check(attr, 1.0, "stand-in")])
+
+
+def test_threaded_report_equals_suites_run_in_order(tmp_path, monkeypatch):
+    # every artifact, summary.json included, is the same bytes as a run on
+    # one thread, which calls each _suite_* in order
+    from weissbench import cli
+
+    dirs = {}
+    for workers in (2, 1):
+        monkeypatch.setattr(cli, "_WORKERS", workers)
+        dirs[workers] = tmp_path / f"workers-{workers}"
+        assert main(["full-report", "--output-dir", str(dirs[workers])]) \
+            == EXIT_OK
+    names = sorted(p.name for p in dirs[1].iterdir())
+    assert names == sorted(p.name for p in dirs[2].iterdir())
+    for name in names:
+        assert (dirs[1] / name).read_bytes() == (dirs[2] / name).read_bytes()
+    names = [c["name"] for c in read_summary(str(dirs[2]))["checks"]]
+    assert names[:2] == ["exp-decay-closed-form", "indicator-closed-form"]
+    assert names[-1] == "hilbertian-bounded"
+
+
+def test_first_domain_error_in_suite_order_exits_2(tmp_path, capsys,
+                                                   monkeypatch):
+    import time
+
+    from weissbench import cli
+
+    fast_heavy_suites(monkeypatch, cli)
+
+    def late(args, outdir):  # earlier in suite order, raises later in time
+        time.sleep(0.2)
+        raise DomainError("from weiss-scan")
+
+    def early(args, outdir):
+        raise DomainError("from orbit")
+
+    monkeypatch.setattr(cli, "_suite_weiss_scan", late)
+    monkeypatch.setattr(cli, "_suite_orbit", early)
+    code = main(["full-report", "--output-dir", str(tmp_path)])
+    assert code == EXIT_CONFIG_INVALID
+    err = capsys.readouterr().err
+    assert "invalid configuration: from weiss-scan" in err
+    assert "from orbit" not in err
+    assert not (tmp_path / "summary.json").exists()
+
+
+def test_suite_error_is_its_check_and_other_suites_still_write(
+        tmp_path, capsys, monkeypatch):
+    from weissbench import cli
+
+    def uncertified(args, outdir):
+        raise ToleranceNotMet("injected", value=1.0, estimate=2.0)
+
+    monkeypatch.setattr(cli, "_suite_laplace_identity", uncertified)
+    code = main(["full-report", "--output-dir", str(tmp_path)])
+    assert code == EXIT_CHECK_FAILED
+    assert capsys.readouterr().err == \
+        "FAILED laplace-identity-suite: ToleranceNotMet: injected\n"
+    failed = [c["name"] for c in read_summary(str(tmp_path))["checks"]
+              if not c["pass"]]
+    assert failed == ["laplace-identity-suite"]
+    assert not (tmp_path / "laplace.csv").exists()
+    for name in ("lorentz.csv", "weiss.csv", "weiss_orthonormal.csv",
+                 "decay_orthonormal.csv", "decay.csv", "xi.csv",
+                 "divergence.csv", "bessel.csv"):
+        assert (tmp_path / name).exists(), name
+
+
+def counted(monkeypatch, build):
+    """ce.witness_system replaced by build, with a list of its calls."""
+    from weissbench import cli
+
+    calls = []
+
+    def witness_system(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(cli.ce, "witness_system", witness_system)
+    return calls
+
+
+def test_witness_is_built_once_per_report(tmp_path, monkeypatch):
+    from weissbench import cli
+
+    fast_heavy_suites(monkeypatch, cli)
+    calls = counted(monkeypatch, cli.ce.witness_system)
+    assert main(["full-report", "--output-dir", str(tmp_path)]) == EXIT_OK
+    assert len(calls) == 1
+
+
+def test_failed_witness_build_fails_each_suite_that_needs_it(
+        tmp_path, capsys, monkeypatch):
+    from weissbench import cli
+    from weissbench.errors import TruncationOverflow
+
+    def uncertifiable(*args, **kwargs):
+        raise TruncationOverflow("injected")
+
+    fast_heavy_suites(monkeypatch, cli)
+    calls = counted(monkeypatch, uncertifiable)
+    code = main(["full-report", "--output-dir", str(tmp_path)])
+    assert code == EXIT_CHECK_FAILED
+    assert len(calls) == 1
+    assert capsys.readouterr().err == "".join(
+        f"FAILED {name}-suite: TruncationOverflow: injected\n"
+        for name in ("weiss-scan", "orbit", "counterexample"))
+
+
+def test_worker_pool_under_stress(monkeypatch):
+    # more workers than cores, switching threads as often as possible: each
+    # job runs exactly once, results keep job order, the shared build runs
+    # once and its failure reaches every caller
+    import sys
+    import threading
+    import time
+
+    from weissbench import cli
+
+    builds = []
+
+    def build():  # sleeps, so other threads reach it while it runs
+        builds.append("shared")
+        time.sleep(0.01)
+        return builds.count("shared")
+
+    def failing():
+        builds.append("broken")
+        time.sleep(0.01)
+        raise ToleranceNotMet("injected")
+
+    shared, broken = cli._once(build), cli._once(failing)
+    runs = []
+
+    def job(i):
+        runs.append(i)
+        with pytest.raises(ToleranceNotMet, match="injected"):
+            broken()
+        return i, shared()
+
+    monkeypatch.setattr(cli, "_WORKERS", 8)
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=lambda: results.append(
+            cli._in_order([lambda i=i: job(i) for i in range(400)])))
+        runner.start()
+        runner.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert results == [[(i, 1) for i in range(400)]]
+    assert sorted(runs) == list(range(400))
+    assert sorted(builds) == ["broken", "shared"]

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 
+from weissbench import _kernels
 from weissbench._kernels import (_BLOCK, gauss_contributions, pad_groups,
                                 powcos_panels)
 from weissbench.quadrature import (_EPS, _graded_mesh, _halving_estimate,
@@ -80,6 +81,29 @@ def test_panel_sums_do_not_depend_on_their_place_in_a_call():
         padded = pad_groups(head, n)
         assert np.array_equal(padded, np.r_[head, [edges[n]] * (-n % 4)])
         assert (padded is head) == (n % 4 == 0)
+
+
+def test_panel_sums_do_not_depend_on_the_pass_size(monkeypatch):
+    # the same per-panel sums, bit for bit, whatever the pass size: meshes
+    # over several passes of the largest size, ending in a partial group
+    rng = np.random.default_rng(17)
+    for n in (3 * 8192 + 3, 2048 + 1):
+        edges = np.concatenate(([0.0], np.cumsum(rng.uniform(1e-4, 1e-3, n))))
+        lam = rng.uniform(0.5, 2.0, n) * (1.0 + 30.0j)
+        shift = np.linspace(0.0, 1.0, n)
+        sums = {}
+        for block in (4, 2048, 8192):
+            monkeypatch.setattr(_kernels, "_BLOCK", block)
+            sums[block] = (
+                powcos_panels(0.25, 0.0, 3.0, edges),
+                powcos_panels(1.5, shift, 7.0, edges),
+                gauss_contributions(
+                    lambda s, m, h2, z: np.exp(-z * s) / np.sqrt(1.0 + s),
+                    edges, lam))
+        for block in (4, 2048):
+            for got, want in zip(sums[block], sums[8192]):
+                assert got.shape == (n,)
+                assert np.array_equal(got, want)
 
 
 def fine_panels(contributions, edges):

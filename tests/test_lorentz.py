@@ -434,6 +434,25 @@ def test_norm_equals_always_sorting_reference():
                 assert lorentz_norm(f, (p, q)) == always_sorting_norm(f, p, q)
 
 
+def test_sliced_product_equals_full_length_formula(monkeypatch):
+    # peak is scaled by v / m in slices; the same bits as the one
+    # full-length product of the reference, at and across slice ends,
+    # on sorted and unsorted random step functions
+    rng = np.random.default_rng(16)
+    cases = [(lorentz._SLICE, n) for n in (lorentz._SLICE - 1,
+                                           lorentz._SLICE + 1,
+                                           3 * lorentz._SLICE + 5)]
+    cases += [(3, n) for n in (1, 2, 3, 4, 7, 50)]
+    for size, n in cases:
+        monkeypatch.setattr(lorentz, "_SLICE", size)
+        bps = np.concatenate(([0.0], np.cumsum(rng.uniform(1e-3, 1.0, n))))
+        vals = rng.uniform(0.0, 4.0, n)
+        for f in (StepFunction(bps, vals),
+                  StepFunction(bps, np.sort(vals)[::-1])):
+            for p, q in ((2.0, 1.0), (1.5, 4.0), (3.0, math.inf)):
+                assert lorentz_norm(f, (p, q)) == always_sorting_norm(f, p, q)
+
+
 def test_power_of_two_scaling_exact():
     rng = np.random.default_rng(14)
     f = random_step(rng)

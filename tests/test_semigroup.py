@@ -73,6 +73,30 @@ def test_coefficient_vector_validation():
     assert CoefficientVector([1.0]).tail_sup == 0.0
 
 
+def test_coefficients_are_numbers_and_copied():
+    # numeric strings are rejected as DiagonalSystem rejects them, and the
+    # caller's array is copied, not kept
+    for bad in (["1", "2"], "1", np.array([1.0 + 2.0j, 1.0])):
+        with pytest.raises(DomainError):
+            CoefficientVector(bad)
+    values = np.array([1.0, 2.0])
+    xi = CoefficientVector(values)
+    values[0] = 5.0
+    assert xi.values.tolist() == [1.0, 2.0]
+
+
+def test_complex_input_to_a_real_argument_is_a_domain_error():
+    # complex values would be cast to their real parts; they raise instead,
+    # whether or not the imaginary part is zero
+    with pytest.raises(DomainError, match="t must be real"):
+        orbit_observation(DiagonalSystem.default(8), CoefficientVector([1.0]),
+                          np.array(0.5 + 3j), 1e-12)
+    for mu, c in ((np.array([1 + 1j, 2]), [1.0, 1.0]),
+                  ([1.0, 2.0], np.array([1.0, 1.0 + 0j]))):
+        with pytest.raises(DomainError, match="must be real"):
+            DiagonalSystem(mu, c)
+
+
 # ------------------------------------------------------------ observations
 def test_orbit_finite_sum_exact():
     sys_ = DiagonalSystem.default(n_active=4)

@@ -7,15 +7,18 @@ BLAS pinned to one thread, at six configurations: the defaults, `--seed 7`,
 `--q 3`, `--q 8`, `--q 1e6` and `--q 1e9`. Artifacts go to
 OUTDIR/<configuration>/{a,b}; OUTDIR must be new or empty. Prints the line
 count of each tree's `src/weissbench/*.py` and the difference B - A, then
-each configuration's two exit codes and every artifact that is missing from
-one side or differs, and exits 1 on any difference, 0 when every artifact
-and exit code agree. Standard library only; neither the package nor its tests
-import this script.
+each configuration's two exit codes, each run's wall time and peak RSS (from
+`os.wait4`, so a scheduling or memory change shows beside the byte check),
+and every artifact that is missing from one side or differs, and exits 1 on
+any difference, 0 when every artifact and exit code agree. The times are one
+run each, for orientation; `tools/bench_pairs.py` measures. Standard library
+only; neither the package nor its tests import this script.
 """
 import filecmp
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 CONFIGS = {
@@ -35,15 +38,20 @@ def source_lines(tree):
 
 
 def run_report(tree, args, outdir):
-    """Exit code of one full-report run of tree into outdir."""
+    """(exit code, wall s, peak RSS in MB) of one full-report run of tree
+    into outdir; os.wait4 returns when the child exits, with its usage."""
     outdir.mkdir(parents=True, exist_ok=True)
     env = dict(os.environ, PYTHONPATH=str(Path(tree, "src").resolve()),
                OPENBLAS_NUM_THREADS="1")
-    return subprocess.run(
+    start = time.perf_counter()
+    proc = subprocess.Popen(
         [sys.executable, "-m", "weissbench.cli", "full-report",
          "--output-dir", str(outdir), *args],
-        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-        check=False).returncode
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, wall, usage.ru_maxrss / 1024.0
 
 
 def differing(dir_a, dir_b):
@@ -68,12 +76,13 @@ def main(argv):
     same = True
     for name, args in CONFIGS.items():
         dir_a, dir_b = out / name / "a", out / name / "b"
-        codes = run_report(tree_a, args, dir_a), run_report(tree_b, args,
-                                                              dir_b)
+        (code_a, wall_a, rss_a), (code_b, wall_b, rss_b) = (
+            run_report(tree_a, args, dir_a), run_report(tree_b, args, dir_b))
         diff = differing(dir_a, dir_b)
-        same &= codes[0] == codes[1] and not diff
-        print(f"{name}: exit {codes[0]} / {codes[1]}, "
-              f"{len(list(dir_a.iterdir()))} artifacts, "
+        same &= code_a == code_b and not diff
+        print(f"{name}: exit {code_a} / {code_b}, wall {1e3 * wall_a:.0f} / "
+              f"{1e3 * wall_b:.0f} ms, peak RSS {rss_a:.1f} / {rss_b:.1f} "
+              f"MB, {len(list(dir_a.iterdir()))} artifacts, "
               + (f"differ: {' '.join(diff)}" if diff else "all identical"))
     print("identical" if same else "DIFFERENT")
     return 0 if same else 1
