@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._kernels import powcos_panels
-from .errors import BoundViolated, DomainError, _integer, _real
+from .errors import BoundViolated, DomainError, _array, _integer, _real
 from .lorentz import StepFunction, lorentz_norm
 from .quadrature import (_EPS, DEFAULT_SPEC, _gate, _halving_estimate,
                          powcos_quadrature, singular_end,
@@ -38,7 +38,6 @@ __all__ = [
     "divergence_profile",
     "LowerBoundReport",
     "orbit_lower_bound_check",
-    "gram_entry",
     "GramCache",
     "bessel_failure_witness",
     "hilbertian_constant_estimate",
@@ -316,21 +315,6 @@ def orbit_lower_bound_check(params, n_range, samples_per_interval,
                             ts.size)
 
 
-def gram_entry(j, k, params, spec=DEFAULT_SPEC):
-    """Inner product of basis elements j and k.
-
-    Equals 2 * integral of s^(2 beta) cos((nu_j - nu_k) s) over (0, pi):
-    real by the symmetric domain, so the complex return carries zero
-    imaginary part; the exponent 2 beta + 1 lies in (3/2, 2).
-    """
-    j, k = _integer(j, "j", 0), _integer(k, "k", 0)
-    nu = BasisIndexMap.frequencies(max(j, k) + 1)
-    delta = abs(int(nu[j]) - int(nu[k]))
-    value = 2.0 * singular_oscillatory_integral(2.0 * params.beta + 1.0,
-                                                delta, spec)
-    return complex(value)
-
-
 class GramCache:
     """Gram entries g(d) by frequency difference, from one period table.
 
@@ -368,7 +352,7 @@ class GramCache:
         permuted onto it has the lag autocorrelation r_d of one zero-padded
         real FFT pair, and x* G x = g(0) r_0 + 2 sum_{d>=1} g(d) r_d.
         """
-        x = np.asarray(x, dtype=float)
+        x = _array(x, "x")
         n = x.size
         if x.ndim != 1 or not 1 <= n <= self.n_basis:
             raise DomainError(f"x must be 1-d, of length 1..{self.n_basis}")

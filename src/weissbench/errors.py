@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the checks raising them."""
+"""Exception types shared across the package, the checks raising them, and
+the immutability rule of the value objects."""
 import math
 import numbers
 
@@ -74,6 +75,23 @@ def _array(value, name, dtype=float):
         return np.asarray(value, dtype)
     except (TypeError, ValueError):
         raise DomainError(f"{name} must be numeric, got {value!r}") from None
+
+
+class _Immutable:
+    """Base of the value objects: setting an attribute raises, and the
+    constructor sets its slots once through _freeze, arrays made read-only.
+    Caches the module fills later are written with object.__setattr__."""
+
+    __slots__ = ()
+
+    def _freeze(self, **slots):
+        for name, value in slots.items():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
 
 def _points(x, dtype, what):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, _real
+from .errors import DomainError, _Immutable, _array, _real
 
 __all__ = [
     "LorentzIndex",
@@ -50,14 +50,20 @@ class LorentzIndex:
             raise DomainError(f"q must be >= 1 or inf, got {self.q}")
 
 
-class StepFunction:
-    """Nonnegative step function on [b_0, b_n) with strictly increasing b."""
+class StepFunction(_Immutable):
+    """Nonnegative step function on [b_0, b_n) with strictly increasing b.
+
+    Immutable, like DiagonalSystem, but it does not copy: a float64 NumPy
+    array is kept as given and made read-only, so the caller's own array
+    is frozen with it (a copy would double a million-point grid). Lists and
+    arrays of other dtypes are converted, which leaves the caller's object
+    alone. Strings and complex values raise DomainError.
+    """
 
     __slots__ = ("breakpoints", "values", "_levels")
 
     def __init__(self, breakpoints, values):
-        b = np.asarray(breakpoints, dtype=float)
-        v = np.asarray(values, dtype=float)
+        b, v = _array(breakpoints, "breakpoints"), _array(values, "values")
         if b.ndim != 1 or v.ndim != 1 or b.size != v.size + 1 or v.size == 0:
             raise DomainError("need n+1 breakpoints for n >= 1 values")
         if not (np.all(np.isfinite(b)) and np.all(np.isfinite(v))):
@@ -69,14 +75,8 @@ class StepFunction:
                               "(zero-length segments are rejected)")
         if np.any(v < 0.0):
             raise DomainError("values are magnitudes and must be >= 0")
-        b.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "breakpoints", b)
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "_levels", None)  # built by _level_table
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StepFunction is immutable")
+        # _levels is built by _level_table
+        self._freeze(breakpoints=b, values=v, _levels=None)
 
     @property
     def lengths(self):
@@ -252,18 +252,8 @@ def holder_pairing(f, g):
     return float(np.dot(on_cells(f) * on_cells(g), np.diff(cuts)))
 
 
-def sample_steps(fn, edges, rule="midpoint"):
-    """StepFunction sampling a callable on the cells of a grid.
-
-    rule 'midpoint' evaluates at cell centers (second-order for smooth fn);
-    rule 'left' evaluates at left endpoints (exact cell suprema for
-    non-increasing fn).
-    """
-    edges = np.asarray(edges, dtype=float)
-    if rule == "midpoint":
-        pts = 0.5 * (edges[1:] + edges[:-1])
-    elif rule == "left":
-        pts = edges[:-1]
-    else:
-        raise DomainError(f"unknown sampling rule {rule!r}")
-    return StepFunction(edges, np.asarray(fn(pts), dtype=float))
+def sample_steps(fn, edges):
+    """StepFunction sampling a callable at the cell centers of a grid
+    (second-order for smooth fn)."""
+    edges = _array(edges, "edges")
+    return StepFunction(edges, fn(0.5 * (edges[1:] + edges[:-1])))

@@ -2,11 +2,12 @@
 
 A DiagonalSystem holds eigenvalue and observation arrays (mu_k, c_k) for a
 diagonal generator with exponentially stable semigroup e^{-mu_k t} and a
-scalar observation functional. Orbits, resolvents, and Weiss quotients are
-truncated series whose returned values always come with a certified tail
-bound: terms inside the active range are summed exactly (fsum) and the part
-beyond the smallest admissible index is bounded by measured geometric decay,
-both by _truncate, the one routine that certifies a truncation.
+scalar observation functional. Orbits, resolvents, Weiss quotients and the
+orthonormal model's norms are truncated series whose returned values always
+come with a certified tail bound: terms inside the active range are summed
+exactly (fsum) and the part beyond the smallest admissible index is bounded
+by measured geometric decay, both by _truncate, the one routine that sums
+and certifies a truncation.
 Observations take one point or a 1-d array of finite points; each point
 keeps its own truncation and value, bit for bit the same either way; one
 point is checked as Python scalars and skips the batch's array overhead.
@@ -20,8 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ._kernels import pad_groups
-from .errors import (DivergentSum, DomainError, TruncationOverflow, _array,
-                     _integer, _points, _real)
+from .errors import (DivergentSum, DomainError, TruncationOverflow,
+                     _Immutable, _array, _integer, _points, _real)
 
 __all__ = [
     "DiagonalSystem",
@@ -40,6 +41,7 @@ __all__ = [
 ]
 
 _RATIO_CAP = 0.9  # certified geometric decay needs ratios at most this
+_TOL = 1e-12  # the default tail tolerance, and decay_norm_orthonormal's
 _EPS = float(np.finfo(float).eps)
 # exp(-x) rounds to +0.0 for every x above 1075 ln 2 = 745.133..., where
 # e^(-x) is below half the smallest subnormal; a margin above that
@@ -55,15 +57,7 @@ def _upper_half_ratio(terms):
     return float(np.max(ratios)) if ratios.size else 0.0
 
 
-def _freeze(obj, **slots):
-    """Set the slots of an immutable object, arrays made read-only."""
-    for name, value in slots.items():
-        if isinstance(value, np.ndarray):
-            value.setflags(write=False)
-        object.__setattr__(obj, name, value)
-
-
-class DiagonalSystem:
+class DiagonalSystem(_Immutable):
     """Diagonal generator with eigenvalues mu_k and observation weights c_k.
 
     mu and c are 1-d arrays of one length n_active >= 2, copied. Immutable:
@@ -87,10 +81,7 @@ class DiagonalSystem:
             raise DomainError(
                 "terms |c_k|/mu_k grow over the active modes; the "
                 "resolvent series shows no sign of convergence")
-        _freeze(self, mu=mu, c=c, n_active=mu.size)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DiagonalSystem is immutable")
+        self._freeze(mu=mu, c=c, n_active=mu.size)
 
     @classmethod
     def default(cls, n_active=64):
@@ -105,7 +96,7 @@ class DiagonalSystem:
         return cls([2.0**i for i in k], [2.0 ** (0.5 * i) for i in k])
 
 
-class CoefficientVector:
+class CoefficientVector(_Immutable):
     """State expansion coefficients, finite or truncated from a rule.
 
     tail_sup is a caller-certified bound on |xi_k| for every k at and beyond
@@ -123,10 +114,7 @@ class CoefficientVector:
             raise DomainError("coefficients must be a finite 1-d float array")
         if not _real(tail_sup, "tail_sup") >= 0.0:
             raise DomainError("tail_sup must be >= 0")
-        _freeze(self, values=v, tail_sup=float(tail_sup), _resolvent=None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CoefficientVector is immutable")
+        self._freeze(values=v, tail_sup=float(tail_sup), _resolvent=None)
 
 
 class ObservedValue(NamedTuple):
@@ -280,7 +268,7 @@ def orbit_decay_bound(sys, xi, alpha):
     return math.fsum(terms.tolist()) * (1.0 + 8.0 * _EPS), alpha
 
 
-def weiss_quotient(sys, xi, x_norm, lam, tol=1e-12):
+def weiss_quotient(sys, xi, x_norm, lam, tol=_TOL):
     """Re(lam)^(1/2) |resolvent observation| / x_norm, at lam or over it."""
     if not 0.0 < _real(x_norm, "x_norm") < math.inf:
         raise DomainError(f"x_norm must be positive and finite, got {x_norm}")
@@ -291,11 +279,21 @@ def weiss_quotient(sys, xi, x_norm, lam, tol=1e-12):
     return np.sqrt(lam.real) * np.abs(value) / x_norm
 
 
+def _orthonormal_norm(points, terms, weights, tol, what):
+    """Re(point)^(1/2) times the root of each row of terms summed by
+    _truncate, at tail_sup 1.0 over the weights; a float for one point,
+    else an array."""
+    sums, _, _ = _truncate(terms, weights, 1.0, tol, what)
+    norms = np.sqrt(points.real) * np.sqrt(np.array(sums))
+    return float(norms[0]) if points.ndim == 0 else norms
+
+
 def weiss_norm_orthonormal(sys, lam, tol):
     """Re(lam)^(1/2) * l2 norm of (c_k / (lam + mu_k)), orthonormal basis.
 
     The caller asserts the underlying basis is orthonormal; only then is the
-    l2 formula the operator norm of the observed resolvent.
+    l2 formula the operator norm of the observed resolvent. The squares are
+    at most c_k^2/mu_k^2, whose tail bounds the sum beyond the active modes.
     """
     lam = _points(lam, complex, "lambda")
     limit = (sys.c / sys.mu) ** 2
@@ -303,13 +301,11 @@ def weiss_norm_orthonormal(sys, lam, tol):
         raise DivergentSum(
             "sum c_k^2/mu_k^2 diverges over the active modes")
     terms = sys.c**2 / np.abs(lam.reshape(-1, 1) + sys.mu) ** 2
-    sums, _, _ = _truncate(terms, limit[None], 1.0, tol,
-                           "weiss_norm_orthonormal")
-    norms = np.sqrt(lam.real) * np.sqrt(np.array(sums))
-    return float(norms[0]) if lam.ndim == 0 else norms
+    return _orthonormal_norm(lam, terms, limit[None], tol,
+                             "weiss_norm_orthonormal")
 
 
-def decay_profile(sys, xi, x_norm, t_grid, tol=1e-12):
+def decay_profile(sys, xi, x_norm, t_grid, tol=_TOL):
     """Samples (t, t^(1/2) |orbit(t)| / x_norm) over a positive grid."""
     if not 0.0 < _real(x_norm, "x_norm") < math.inf:
         raise DomainError(f"x_norm must be positive and finite, got {x_norm}")
@@ -318,11 +314,17 @@ def decay_profile(sys, xi, x_norm, t_grid, tol=1e-12):
 
 
 def decay_norm_orthonormal(sys, t_grid):
-    """t^(1/2) * l2 norm of (c_k exp(-mu_k t)) over the active modes: operator
-    decay samples with no tail certificate (ROADMAP item 4)."""
-    t_grid = _points(t_grid, float, "t_grid").reshape(-1)
-    sq = np.exp(-2.0 * np.outer(t_grid, sys.mu)) @ sys.c**2
-    return np.sqrt(t_grid) * np.sqrt(sq)
+    """t^(1/2) * l2 norm of (c_k exp(-mu_k t)), orthonormal basis: operator
+    decay at one point t_grid or over a 1-d array of them.
+
+    The squares c_k^2 e^(-2 mu_k t) are summed with their tail, extended
+    beyond the active modes from their own decay, certified below _TOL
+    (1e-12); where it cannot be, the call raises TruncationOverflow: on
+    sqrt_observation(60) at every t below 4.0e-17.
+    """
+    t = _points(t_grid, float, "t_grid")
+    terms = sys.c**2 * np.exp(-2.0 * np.outer(t, sys.mu))
+    return _orthonormal_norm(t, terms, terms, _TOL, "decay_norm_orthonormal")
 
 
 def lambda_grid(n_moduli=25, n_args=17, mod_min=1e-4, mod_max=1e8):

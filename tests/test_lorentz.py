@@ -63,6 +63,39 @@ def test_step_function_validation():
         StepFunction([0.0, 1.0], [math.nan])
 
 
+@pytest.mark.filterwarnings("error")
+def test_step_function_takes_real_numbers_only():
+    # the conversion StepFunction shares with the other value objects:
+    # numeric strings were parsed (a norm of 2.0), a complex list raised a
+    # bare TypeError and a complex array lost its imaginary part with only
+    # a ComplexWarning
+    for b, v in ((["0", "1"], ["2"]), ([0.0, 1.0], ["2"]),
+                 ([0.0, 1.0], [2.0 + 1.0j]),
+                 (np.array([0.0, 1.0 + 0j]), [2.0]),
+                 ([0.0, 1.0], np.array([2.0 + 1.0j]))):
+        with pytest.raises(DomainError, match="must be (numeric|real)"):
+            StepFunction(b, v)
+
+
+def test_step_function_owns_float64_arrays_and_converts_the_rest():
+    # a float64 array is kept, not copied, and frozen with the function
+    b, v = np.array([0.0, 1.0, 3.0]), np.array([2.0, 1.0])
+    f = StepFunction(b, v)
+    assert f.breakpoints is b and f.values is v
+    assert not (b.flags.writeable or v.flags.writeable)
+    with pytest.raises(ValueError):
+        b[0] = 0.5
+    # a list or another dtype is converted; the caller's object stays as is
+    b32, lst = np.array([0.0, 1.0, 3.0], dtype=np.float32), [2.0, 1.0]
+    g = StepFunction(b32, lst)
+    assert not np.shares_memory(g.breakpoints, b32)
+    assert g.breakpoints.dtype == np.float64 and b32.flags.writeable
+    b32[0] = 0.5
+    lst[0] = 7.0
+    assert g.breakpoints[0] == 0.0 and g.values[0] == 2.0
+    assert lorentz_norm(g, (2.0, math.inf)) == lorentz_norm(f, (2.0, math.inf))
+
+
 def test_step_function_immutable():
     f = StepFunction([0.0, 1.0], [2.0])
     with pytest.raises(AttributeError):
@@ -523,12 +556,8 @@ def test_holder_pairing_mixed_grids():
 # ------------------------------------------------------------- sampling/io
 def test_sample_steps_rules():
     edges = np.array([0.0, 1.0, 2.0])
-    mid = sample_steps(lambda t: t, edges, rule="midpoint")
+    mid = sample_steps(lambda t: t, edges)
     assert np.array_equal(mid.values, [0.5, 1.5])
-    left = sample_steps(lambda t: t + 1.0, edges, rule="left")
-    assert np.array_equal(left.values, [1.0, 2.0])
-    with pytest.raises(DomainError):
-        sample_steps(lambda t: t, edges, rule="right")
 
 
 def test_csv_roundtrip_exact(tmp_path):

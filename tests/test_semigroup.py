@@ -6,7 +6,8 @@ import pytest
 
 from oracle_values import ORBIT_Q4_T4POW_MINUS5, RESOLVENT_Q4_LAM_1_10J
 from weissbench import (CoefficientVector, DiagonalSystem, DivergentSum,
-                        DomainError, TruncationOverflow, decay_profile,
+                        DomainError, StepFunction, TruncationOverflow,
+                        decay_profile,
                         orbit_observation, resolvent_observation,
                         weiss_norm_orthonormal, weiss_quotient)
 from weissbench import semigroup
@@ -406,6 +407,24 @@ def test_decay_norm_orthonormal_one_mode():
     assert got == pytest.approx(want, rel=1e-14)
 
 
+def test_decay_norm_orthonormal_is_certified_or_raises():
+    # the 60 modes of sqrt_observation, summed without a tail bound, gave
+    # 0.764 at t = 1e-18, 0.107 at 1e-20 and 1.07e-6 at 1e-30 for a decay
+    # that stays near 0.849 at every scale
+    sys_ = DiagonalSystem.sqrt_observation(n_active=60)
+    t = 1e-16
+    got = decay_norm_orthonormal(sys_, t)
+    # the same model over 200 modes, summed independently; its squares
+    # beyond mode 60 are the tail the 1e-12 certificate bounds
+    sq = math.fsum(2.0**k * math.exp(-2.0 * 2.0**k * t) for k in range(200))
+    want = math.sqrt(t) * math.sqrt(sq)
+    assert abs(got - want) <= math.sqrt(t) * math.sqrt(1e-12) + 4e-16
+    assert got == pytest.approx(0.849326, abs=5e-7)
+    for t in (1e-20, 1e-30, np.array([1e-8, 1e-20])):
+        with pytest.raises(TruncationOverflow):
+            decay_norm_orthonormal(sys_, t)
+
+
 def test_lambda_grid_geometry():
     grid = lambda_grid()
     assert grid.size == 25 * 17
@@ -532,6 +551,15 @@ def test_weiss_norm_orthonormal_batch_matches_per_point_loop():
     assert type(loop[0]) is float
 
 
+def test_decay_norm_orthonormal_batch_matches_per_point_loop():
+    sys_ = DiagonalSystem.sqrt_observation(n_active=60)
+    grid = log_grid(1e-16, 1e2)
+    batch = decay_norm_orthonormal(sys_, grid)
+    loop = [decay_norm_orthonormal(sys_, t) for t in grid]
+    assert np.array_equal(batch, loop)
+    assert type(loop[0]) is float
+
+
 def test_batch_with_one_uncertifiable_point_raises():
     # at t = 1e-6 the ratios |c_k| e^{-mu_k t} of the last modes are near 2,
     # so that point has no geometric tail certificate; the others do
@@ -589,7 +617,9 @@ def test_every_truncation_goes_through_one_routine(monkeypatch, witness4):
             (lambda: resolvent_observation(sys_, xi, 1.0 + 1.0j, 1e-12),
              "resolvent_observation"),
             (lambda: weiss_norm_orthonormal(ortho, 2.0, 1e-12),
-             "weiss_norm_orthonormal")):
+             "weiss_norm_orthonormal"),
+            (lambda: decay_norm_orthonormal(ortho, np.array([1e-8, 1.0])),
+             "decay_norm_orthonormal")):
         call()
         assert calls == [what]
         calls.clear()
@@ -667,13 +697,23 @@ def test_system_and_coefficients_are_immutable():
     xi = CoefficientVector(caller, tail_sup=0.1)
     mu, c = 4.0 ** np.arange(4), 2.0 ** np.arange(4)
     sys_ = DiagonalSystem(mu, c)
+    steps = StepFunction([0.0, 1.0, 2.0], [1.0, 0.5])
     assert np.array_equal(sys_.mu, mu) and np.array_equal(sys_.c, c)
-    for obj, names in ((xi, ("values", "tail_sup", "_resolvent", "other")),
-                       (sys_, ("mu", "c", "n_active", "other"))):
+    for obj, names, message in (
+            (xi, ("values", "tail_sup", "_resolvent", "other"),
+             "CoefficientVector is immutable"),
+            (sys_, ("mu", "c", "n_active", "other"),
+             "DiagonalSystem is immutable"),
+            (steps, ("breakpoints", "values", "_levels", "other"),
+             "StepFunction is immutable")):
         for name in names:
-            with pytest.raises(AttributeError):
+            with pytest.raises(AttributeError, match=f"^{message}$"):
                 setattr(obj, name, None)
-    for array in (xi.values, sys_.mu, sys_.c):
+        assert not hasattr(obj, "__dict__")
+    # one rule serves all three: a single __setattr__, not a copy per class
+    assert len({type(obj).__setattr__ for obj in (xi, sys_, steps)}) == 1
+    for array in (xi.values, sys_.mu, sys_.c, steps.breakpoints,
+                  steps.values):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 2.0

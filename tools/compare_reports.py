@@ -9,12 +9,18 @@ OUTDIR/<configuration>/{a,b}; OUTDIR must be new or empty. Prints the line
 count of each tree's `src/weissbench/*.py` and the difference B - A, then
 each configuration's two exit codes, each run's wall time and peak RSS (from
 `os.wait4`, so a scheduling or memory change shows beside the byte check),
-and every artifact that is missing from one side or differs, and exits 1 on
-any difference, 0 when every artifact and exit code agree. The times are one
-run each, for orientation; `tools/bench_pairs.py` measures. Standard library
-only; neither the package nor its tests import this script.
+and every artifact that is missing from one side or differs; for each CSV
+that differs, the number of differing cells and the largest relative
+difference between them (inf where a cell is missing or not a number).
+Exits 1 on any difference, 0 when every artifact and exit code agree. The
+times are one run each, for orientation; `tools/bench_pairs.py` measures.
+Standard library only; neither the package nor its tests import this
+script.
 """
+import csv
 import filecmp
+import itertools
+import math
 import os
 import subprocess
 import sys
@@ -63,6 +69,27 @@ def differing(dir_a, dir_b):
                     and filecmp.cmp(dir_a / n, dir_b / n, shallow=False))]
 
 
+def cell_moves(path_a, path_b):
+    """(cells that differ, largest relative difference) of two CSV files;
+    a cell missing on one side or not a number counts as infinitely far."""
+    with open(path_a, newline="") as fa, open(path_b, newline="") as fb:
+        rows = list(itertools.zip_longest(csv.reader(fa), csv.reader(fb),
+                                          fillvalue=[]))
+    count, worst = 0, 0.0
+    for row_a, row_b in rows:
+        for a, b in itertools.zip_longest(row_a, row_b):
+            if a == b:
+                continue
+            count += 1
+            try:
+                x, y = float(a), float(b)
+                rel = 0.0 if x == y else abs(x - y) / max(abs(x), abs(y))
+            except (TypeError, ValueError):  # None: a missing cell
+                rel = math.inf
+            worst = max(worst, rel if rel == rel else math.inf)  # nan: inf
+    return count, worst
+
+
 def main(argv):
     if len(argv) != 3:
         sys.stderr.write(__doc__.split("\n\n")[1] + "\n")
@@ -84,6 +111,12 @@ def main(argv):
               f"{1e3 * wall_b:.0f} ms, peak RSS {rss_a:.1f} / {rss_b:.1f} "
               f"MB, {len(list(dir_a.iterdir()))} artifacts, "
               + (f"differ: {' '.join(diff)}" if diff else "all identical"))
+        for n in diff:
+            if n.endswith(".csv") and (dir_a / n).is_file() \
+                    and (dir_b / n).is_file():
+                count, worst = cell_moves(dir_a / n, dir_b / n)
+                print(f"  {n}: {count} cells differ, largest relative "
+                      f"difference {worst:.3e}")
     print("identical" if same else "DIFFERENT")
     return 0 if same else 1
 
