@@ -243,8 +243,10 @@ def divergence_profile(params, eps_list, tau=1.0, *, witness, per_decade=64):
     The weak column stabilizes while both (2,q) columns diverge like
     log(1+log(1/eps))^(1/q): the quantitative endpoint separation. The
     witness must be built for params.q. The orbit is evaluated once, at
-    the union of the windows' left cell ends, the values a call per window
-    would give; for eps = 10^-k the grids are suffixes of the widest one.
+    the widest window's left cell ends; a window whose grid is a suffix of
+    the widest one, as for eps = 10^-k, takes its values from there, and
+    any other is evaluated on its own. An orbit value does not depend on
+    its batch, so each window gets the values of a call of its own.
     """
     eps_arr = np.array([_real(e, "eps") for e in eps_list], dtype=float)
     tau = _real(tau, "tau")
@@ -255,14 +257,15 @@ def divergence_profile(params, eps_list, tau=1.0, *, witness, per_decade=64):
     per_decade = _integer(per_decade, "per_decade", 64)
     _built_for(params, witness.table, "witness")
     grids = [log_grid(eps, tau, per_decade) for eps in eps_arr]
-    lefts = [grid[:-1] for grid in grids]
     orbit = orbit_callable(witness.system, witness.xi)
-    points, where = np.unique(np.concatenate(lefts), return_inverse=True)
-    values = np.split(orbit(points)[where],
-                      np.cumsum([left.size for left in lefts[:-1]]))
+    widest = grids[-1][:-1]
+    wide = orbit(widest)
     out = np.empty((eps_arr.size, 4))
-    for i, (eps, grid, v) in enumerate(zip(eps_arr, grids, values)):
-        steps = StepFunction(grid, v)
+    for i, (eps, grid) in enumerate(zip(eps_arr, grids)):
+        left = grid[:-1]
+        tail = widest[widest.size - left.size:]
+        steps = StepFunction(grid, wide[wide.size - left.size:]
+                             if np.array_equal(tail, left) else orbit(left))
         out[i] = (eps,
                   envelope_norm_q(float(eps), tau, params),
                   lorentz_norm(steps, (2.0, params.q)),

@@ -55,6 +55,8 @@ def _integer(value, name, low=None):
 
 def _real(value, name):
     """value as a float if it is a real number, else DomainError."""
+    if type(value) is float:  # before the ABC check, which is slower
+        return value
     if not isinstance(value, numbers.Real):
         raise DomainError(f"{name} must be a real number, got {value!r}")
     return float(value)
@@ -94,18 +96,23 @@ class _Immutable:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
 
+def _point(z, what):
+    """z, one point as a Python (or NumPy) scalar, if it is in the domain:
+    finite, with a positive real part; else DomainError."""
+    if not (0.0 < z.real < math.inf and math.isfinite(z.imag)):
+        raise DomainError(f"{what} must be finite with a positive real part")
+    return z
+
+
 def _points(x, dtype, what):
-    """x as a 0-d (one point) or 1-d array of points in the domain: finite,
-    with a positive real part; else DomainError."""
+    """x as a 0-d (one point) or 1-d array of points in the domain (see
+    _point); else DomainError."""
     points = _array(x, what, dtype)
-    if points.ndim == 0:  # checked as Python scalars, not by array passes
-        z = points.item()
-        inside = 0.0 < z.real < math.inf and math.isfinite(z.imag)
-    elif points.ndim == 1 and points.size:
-        inside = points.real.min() > 0.0 and np.isfinite(points).all()
-    else:
+    if points.ndim == 0:  # checked as a Python scalar, not by array passes
+        _point(points.item(), what)
+    elif points.ndim != 1 or not points.size:
         raise DomainError(f"{what} must be one point or a nonempty 1-d array")
-    if not inside:
+    elif not (points.real.min() > 0.0 and np.isfinite(points).all()):
         raise DomainError(f"{what} must be finite with a positive real part")
     return points
 

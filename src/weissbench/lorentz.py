@@ -16,6 +16,7 @@ power of a value at most 1 and makes dyadic rescalings exactly equivariant.
 """
 import csv
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,7 @@ __all__ = [
 ]
 
 _SLICE = 1 << 16  # entries per pass of lorentz_norm's elementwise product
+_TINY = 2.0**-1021  # above the subnormals, with a binade to spare
 
 
 @dataclass(frozen=True)
@@ -125,7 +127,20 @@ def _dyadic_numerators(b):
 
 def _round_dyadic(n, shift):
     """n * 2**shift rounded once, n an int or an object array of ints (int
-    true division and int-to-float are correctly rounded), as float(s)."""
+    true division and int-to-float are correctly rounded), as float(s).
+
+    An array is converted to float, correctly rounded, and scaled by
+    2**shift, which is exact where the result is normal; the exact int
+    route stays for a numerator beyond the float range and for a nonzero
+    result below _TINY, whose scaling could round a second time.
+    """
+    if isinstance(n, np.ndarray):
+        with suppress(OverflowError), np.errstate(over="ignore"):
+            x = n.astype(float)  # raises OverflowError beyond the float range
+            y = np.ldexp(x, shift)
+            size = np.abs(y)
+            if np.all((_TINY <= size) & (size < math.inf) | (x == 0.0)):
+                return y
     x = n / (1 << -shift) if shift < 0 else n * (1 << shift)
     return x.astype(float) if isinstance(x, np.ndarray) else float(x)
 
@@ -256,4 +271,6 @@ def sample_steps(fn, edges):
     """StepFunction sampling a callable at the cell centers of a grid
     (second-order for smooth fn)."""
     edges = _array(edges, "edges")
+    if edges.ndim != 1 or edges.size < 2:
+        raise DomainError("edges must be a 1-d array of at least 2 points")
     return StepFunction(edges, fn(0.5 * (edges[1:] + edges[:-1])))

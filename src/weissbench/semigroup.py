@@ -22,7 +22,7 @@ import numpy as np
 
 from ._kernels import pad_groups
 from .errors import (DivergentSum, DomainError, TruncationOverflow,
-                     _Immutable, _array, _integer, _points, _real)
+                     _Immutable, _array, _integer, _point, _points, _real)
 
 __all__ = [
     "DiagonalSystem",
@@ -196,10 +196,16 @@ def resolvent_observation(sys, xi, lam, tol):
 
     |c/(lam+mu)| <= |c|/mu on the right half-plane, so the truncation and
     its tail depend on (sys, xi, tol) alone. xi keeps the last certified
-    one with the terms' numerators; a call for the same sys and tol only
-    divides and sums. A failed certification is not kept.
+    one with the terms' numerators, and mu complex as the division adds
+    it; a call for the same sys and tol only divides and sums. A failed
+    certification is not kept. A complex lam (np.complex128 is one) is
+    checked as it is, with no array conversion.
     """
-    lam = _points(lam, complex, "lambda")
+    if isinstance(lam, complex):
+        _point(lam, "lambda")
+    else:
+        lam = _points(lam, complex, "lambda")
+        lam = lam.item() if lam.ndim == 0 else lam
     entry = xi._resolvent
     if entry is None or entry[0] is not sys or entry[1] != tol:
         v, mu, c = _active_slice(sys, xi)
@@ -207,14 +213,14 @@ def resolvent_observation(sys, xi, lam, tol):
         _, tails, counts = _truncate((v * weights)[None], weights[None],
                                      xi.tail_sup, tol, "resolvent_observation")
         n = int(counts[0])
-        entry = (sys, tol, n, float(tails[0]),
-                 (v * c)[:n].astype(complex), mu[:n])
+        entry = (sys, tol, n, float(tails[0]), (v * c)[:n].astype(complex),
+                 mu[:n].astype(complex))
         object.__setattr__(xi, "_resolvent", entry)
     _, _, n, tail, vc, mu = entry
-    if lam.ndim == 0:  # the batch's division and sum of a row, for one
-        row = vc / (mu + lam.item())
-        return ObservedValue(complex(math.fsum(row.real.tolist()),
-                                     math.fsum(row.imag.tolist())), tail, n)
+    if isinstance(lam, complex):  # the batch's division and sums of a row
+        parts = (vc / (mu + lam)).view(float).tolist()
+        return ObservedValue(complex(math.fsum(parts[::2]),
+                                     math.fsum(parts[1::2])), tail, n)
     rows = vc / (lam[:, None] + mu)
     sums = [complex(math.fsum(re), math.fsum(im))
             for re, im in zip(rows.real.tolist(), rows.imag.tolist())]
@@ -272,10 +278,12 @@ def weiss_quotient(sys, xi, x_norm, lam, tol=_TOL):
     """Re(lam)^(1/2) |resolvent observation| / x_norm, at lam or over it."""
     if not 0.0 < _real(x_norm, "x_norm") < math.inf:
         raise DomainError(f"x_norm must be positive and finite, got {x_norm}")
-    lam = _array(lam, "lambda", complex)  # validated by the call below
+    if not isinstance(lam, complex):  # a complex is checked as it is
+        lam = _array(lam, "lambda", complex)  # validated by the call below
+        lam = lam.item() if lam.ndim == 0 else lam
     value = resolvent_observation(sys, xi, lam, tol).value
-    if lam.ndim == 0:  # math.sqrt is np.sqrt, correctly rounded
-        return float(math.sqrt(lam.item().real) * np.abs(value) / x_norm)
+    if isinstance(lam, complex):  # math.sqrt is np.sqrt, correctly rounded
+        return float(math.sqrt(lam.real) * np.abs(value) / x_norm)
     return np.sqrt(lam.real) * np.abs(value) / x_norm
 
 

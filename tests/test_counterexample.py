@@ -711,3 +711,44 @@ def test_hilbertian_estimate_deterministic_and_monotone(p4, gram4):
         hilbertian_constant_estimate(p4, 0, 4, gram=gram4)
     with pytest.raises(DomainError):
         hilbertian_constant_estimate(p4, 1, 0, gram=gram4)
+
+
+def counting_orbit_batches(monkeypatch):
+    """The size of every batch the orbit callables of ce evaluate."""
+    batches = []
+    make = ce.orbit_callable
+
+    def making(*args):
+        orbit = make(*args)
+
+        def counted(t):
+            batches.append(np.size(t))
+            return orbit(t)
+
+        return counted
+
+    monkeypatch.setattr(ce, "orbit_callable", making)
+    return batches
+
+
+@pytest.mark.parametrize("eps_list, calls", [
+    (tuple(10.0 ** -k for k in range(2, 13)), 1),
+    ([0.3, 0.07, 1e-3], 3),
+], ids=["nested", "not-suffixes"])
+def test_divergence_profile_orbit_calls(p4, eps_list, calls, monkeypatch):
+    # nested windows read the widest window's values; a grid that is not a
+    # suffix of the widest one is evaluated on its own, with the same bits
+    wit = witness_system(p4)
+    orbit = orbit_callable(wit.system, wit.xi)
+    want = []
+    for eps in eps_list:
+        grid = log_grid(eps, 1.0)
+        steps = StepFunction(grid, orbit(grid[:-1]))
+        want.append((eps, envelope_norm_q(eps, 1.0, p4),
+                     lorentz_norm(steps, (2.0, p4.q)),
+                     lorentz_norm(steps, (2.0, math.inf))))
+    batches = counting_orbit_batches(monkeypatch)
+    prof = divergence_profile(p4, eps_list, witness=wit)
+    assert prof.tobytes() == np.array(want).tobytes()
+    assert len(batches) == calls
+    assert batches[0] == log_grid(eps_list[-1], 1.0).size - 1

@@ -2,6 +2,7 @@
 import itertools
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -627,3 +628,76 @@ def test_large_q_short_top_segment(breakpoints, values, q, want):
     # weak-type peak, the step sum keeps the norm (about 0.315 for the first)
     f = StepFunction(breakpoints, values)
     assert lorentz_norm(f, (2.0, q)) == pytest.approx(want, rel=1e-14)
+
+
+@pytest.mark.parametrize("edges", [1.0, np.array(1.0), np.array([1.0])],
+                         ids=["scalar", "0-d", "one-point"])
+def test_sample_steps_needs_two_edges(edges):
+    with pytest.raises(DomainError, match="at least 2 points"):
+        sample_steps(lambda t: t, edges)
+
+
+# ------------------------------------------------------- dyadic rounding
+def assert_rounds_like_int_division(numerators, shift):
+    """_round_dyadic of an object array equals n / 2**-shift by Python int
+    true division, entry by entry, bit for bit (the sign of zero too)."""
+    got = lorentz._round_dyadic(np.array(numerators, dtype=object), shift)
+    want = np.array([n / (1 << -shift) for n in numerators])
+    assert got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+
+
+def exact_bits(rng, bits):
+    """A random int of exactly the given bit length."""
+    return (1 << (bits - 1)) | rng.getrandbits(bits - 1)
+
+
+@pytest.mark.parametrize("shift", [-60, -101, -200, -1000])
+def test_round_dyadic_random_numerators(shift):
+    rng = random.Random(-shift)
+    numerators = [exact_bits(rng, rng.randint(54, 120)) for _ in range(400)]
+    numerators += [-n for n in numerators[:50]] + [0]
+    assert_rounds_like_int_division(numerators, shift)
+
+
+@pytest.mark.parametrize("shift", [-60, -1000])
+def test_round_dyadic_half_way_patterns(shift):
+    # 53 kept bits, then exactly half an ulp, or a bit either side of it
+    numerators = []
+    for top in (2**52, 2**52 + 1, 2**53 - 2, 2**53 - 1):
+        for low_bits in (1, 11, 60):
+            half = 1 << (low_bits - 1)
+            for rest in (half - 1, half, half + 1) if low_bits > 1 \
+                    else (half,):
+                numerators.append((top << low_bits) | rest)
+    assert_rounds_like_int_division(numerators, shift)
+
+
+@pytest.mark.parametrize("scale", [-1022, -1021], ids=["2^-1022", "2^-1021"])
+def test_round_dyadic_at_the_bottom_of_the_normal_range(scale):
+    # results at 2**scale, half an ulp and an ulp either side, and between:
+    # below 2**-1021 the float route would round a second time
+    shift = scale - 80
+    one = 1 << 80  # 2**scale as a numerator
+    ulp = 1 << 28  # the spacing of floats at 2**-1022, in these units
+    numerators = [one + d for d in (-ulp, -ulp // 2 - 1, -ulp // 2,
+                                    -ulp // 2 + 1, -1, 0, 1, ulp // 2 - 1,
+                                    ulp // 2, ulp // 2 + 1, ulp, 3 * ulp // 2,
+                                    2 * ulp + 12345)]
+    numerators += [-n for n in numerators] + [0, 1, ulp // 2]
+    assert_rounds_like_int_division(numerators, shift)
+    # just above half the smallest subnormal: 2**53 + 1 rounds to 2**53 as a
+    # float, a tie the scaling would round to zero
+    assert_rounds_like_int_division([2**53 + 1, 2**53, 2**53 + 3, 1, 0],
+                                    scale - 106)
+
+
+def test_round_dyadic_numerators_beyond_the_float_range():
+    rng = random.Random(7)
+    big = [exact_bits(rng, bits) for bits in (1025, 1100, 1200)]
+    assert_rounds_like_int_division(big + [0, 3], -200)
+    assert_rounds_like_int_division([0, 1 << 1030], -1000)
+    for shift in (0, 1):  # a result beyond the float range still raises
+        with pytest.raises(OverflowError):
+            lorentz._round_dyadic(np.array([1, 1 << 1024 - shift],
+                                           dtype=object), shift)

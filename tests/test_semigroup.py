@@ -751,3 +751,59 @@ def test_non_finite_points_are_domain_errors(bad, witness4):
             decay_profile(sys_, xi, x_norm, np.atleast_1d(t))
         with pytest.raises(DomainError):
             decay_norm_orthonormal(sys_, t)
+
+
+def test_one_point_quotient_recertifies_for_another_system_or_tolerance(
+        monkeypatch, witness4):
+    sys_, xi, x_norm = witness4.system, fresh(witness4.xi), witness4.x_norm
+    doubled = DiagonalSystem(sys_.mu, 2.0 * sys_.c)  # every term doubled
+    lam = lambda_grid()[200]
+    calls = count_certifications(monkeypatch)
+    switches = ((sys_, 1e-12), (doubled, 1e-12), (sys_, 1e-12), (sys_, 1e-6),
+                (doubled, 1e-6), (sys_, 1e-12))
+    got = {}
+    for system, tol in switches:
+        value = weiss_quotient(system, xi, x_norm, lam, tol)
+        assert xi._resolvent[0] is system and xi._resolvent[1] == tol
+        want = weiss_quotient(system, fresh(xi), x_norm, lam, tol)
+        assert bits(value, float) == bits(want, float)
+        got[system is sys_, tol] = value
+    assert len(calls) == 2 * len(switches)
+    # the doubled system certifies its own, possibly longer, truncation
+    assert got[False, 1e-12] == pytest.approx(2.0 * got[True, 1e-12],
+                                              rel=1e-9)
+    assert got[False, 1e-12] != got[True, 1e-12]
+    assert resolvent_observation(sys_, xi, lam, 1e-6).n_terms \
+        < resolvent_observation(sys_, xi, lam, 1e-12).n_terms
+
+
+def test_one_point_lambda_is_checked_once_as_a_scalar(monkeypatch, witness4):
+    sys_, xi, x_norm = witness4.system, witness4.xi, witness4.x_norm
+    checks = []
+    point = semigroup._point
+
+    def counting(z, what):
+        checks.append(z)
+        return point(z, what)
+
+    def array_route(*args):
+        raise AssertionError("one complex point took the array route")
+
+    monkeypatch.setattr(semigroup, "_point", counting)
+    monkeypatch.setattr(semigroup, "_points", array_route)
+    outside = (complex(math.nan, 1.0), complex(1.0, math.nan),
+               complex(math.inf, 1.0), complex(1.0, -math.inf), 0j,
+               complex(-0.0, 2.0), -1.0 + 1.0j, complex(-math.inf, 0.0))
+    for form in (complex, np.complex128):
+        checks.clear()
+        assert type(weiss_quotient(sys_, xi, x_norm, form(2.0 + 1.0j))) \
+            is float
+        assert type(resolvent_observation(sys_, xi, form(2.0 + 1.0j),
+                                          1e-12).value) is complex
+        assert len(checks) == 2
+        for lam in outside:
+            for call in (lambda: weiss_quotient(sys_, xi, x_norm, form(lam)),
+                         lambda: resolvent_observation(sys_, xi, form(lam),
+                                                       1e-12)):
+                with pytest.raises(DomainError, match="positive real part"):
+                    call()

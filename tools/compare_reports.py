@@ -12,8 +12,12 @@ each configuration's two exit codes, each run's wall time and peak RSS (from
 and every artifact that is missing from one side or differs; for each CSV
 that differs, the number of differing cells and the largest relative
 difference between them (inf where a cell is missing or not a number).
-Exits 1 on any difference, 0 when every artifact and exit code agree. The
-times are one run each, for orientation; `tools/bench_pairs.py` measures.
+Then it runs one cycle of the benchmark's `endpoint_op` (q = 3, 4 and 8,
+inputs drawn from seed 1) in each tree, in a process with that tree's
+`src/` and `perfbench/` on the path, and prints whether the SHA-256 of the
+pickled outputs agree. Exits 1 on any difference, 0 when every artifact,
+exit code and output hash agree. The times are one run each, for
+orientation; `tools/bench_pairs.py` measures.
 Standard library only; neither the package nor its tests import this
 script.
 """
@@ -58,6 +62,31 @@ def run_report(tree, args, outdir):
     wall = time.perf_counter() - start
     proc.returncode = os.waitstatus_to_exitcode(status)
     return proc.returncode, wall, usage.ru_maxrss / 1024.0
+
+
+ENDPOINT_SEED = 1
+ENDPOINT_HASH = f"""
+import hashlib, pickle
+import numpy as np
+import workloads
+inputs = workloads.EndpointWindows().cycle(
+    np.random.default_rng({ENDPOINT_SEED}))
+outputs = [workloads.endpoint_op(inp) for inp in inputs]
+print(hashlib.sha256(pickle.dumps(outputs)).hexdigest())
+"""
+
+
+def endpoint_hash(tree):
+    """SHA-256 of one pickled endpoint_op cycle of tree, or its error."""
+    path = os.pathsep.join(str(Path(tree, d).resolve())
+                           for d in ("src", "perfbench"))
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", ENDPOINT_HASH], env=env,
+                          capture_output=True, text=True)
+    if proc.returncode:
+        tail = proc.stderr.strip().splitlines()[-1:]
+        return f"failed (exit {proc.returncode}: {' '.join(tail)})"
+    return proc.stdout.strip()
 
 
 def differing(dir_a, dir_b):
@@ -117,6 +146,12 @@ def main(argv):
                 count, worst = cell_moves(dir_a / n, dir_b / n)
                 print(f"  {n}: {count} cells differ, largest relative "
                       f"difference {worst:.3e}")
+    hashes = endpoint_hash(tree_a), endpoint_hash(tree_b)
+    agree = hashes[0] == hashes[1] and not hashes[0].startswith("failed")
+    same &= agree
+    print(f"endpoint_op q = 3, 4, 8 (seed {ENDPOINT_SEED}): "
+          + (f"outputs hash equal, {hashes[0][:16]}" if agree else
+             f"outputs DIFFER: {hashes[0][:80]} / {hashes[1][:80]}"))
     print("identical" if same else "DIFFERENT")
     return 0 if same else 1
 
