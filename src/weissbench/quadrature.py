@@ -28,7 +28,6 @@ __all__ = [
 # leggauss symmetrizes its nodes: _NODES[:_HALF] is -_NODES[_HALF:] reversed
 _HALF = GAUSS_ORDER // 2
 _EPS = float(np.finfo(float).eps)
-_GRADING_RATIO = 0.5
 MAX_PANELS = 200_000
 
 
@@ -54,16 +53,42 @@ def _graded_mesh(L, cap, hmin):
     bound. The panel count is checked against MAX_PANELS before any array
     is built.
     """
-    m_uni = int(math.ceil((L - cap) / cap - 1e-12))
-    depth = 0 if hmin is None else max(int(math.ceil(
-        math.log(cap / hmin) / math.log(1.0 / _GRADING_RATIO))), 1)
-    panels = depth + m_uni + (hmin is None)  # [0, cap] is a panel ungraded
-    if panels > MAX_PANELS:
-        raise ToleranceNotMet(
-            f"mesh needs {panels} panels, exceeding MAX_PANELS={MAX_PANELS}")
-    geometric = cap * _GRADING_RATIO ** np.arange(depth, 0, -1)
-    return np.concatenate(([0.0] if hmin is None else [], geometric,
-                           np.linspace(cap, L, m_uni + 1)))
+    mesh, = _graded_meshes([L], [cap], [hmin])
+    return mesh
+
+
+def _graded_meshes(Ls, caps, hmins):
+    """_graded_mesh(L, cap, hmin) for each point of the lists, as views
+    of one array built in one pass, after every point's panel count has
+    been checked against MAX_PANELS in order. cap <= L/2, as every caller's
+    is. Level k of a geometric layer is ldexp(cap, -k), which equals cap
+    0.5^k: both round cap 2^-k once, as 0.5^k is exact down to 2^-1074.
+    The m uniform panels' edges are np.linspace's: j (L - cap)/m + cap,
+    then L at j = m (its zero-step branch is never taken: the step is at
+    least about cap/2).
+    """
+    plans = []
+    for L, cap, hmin in zip(Ls, caps, hmins):
+        m_uni = int(math.ceil((L - cap) / cap - 1e-12))
+        depth = 0 if hmin is None else max(int(math.ceil(
+            math.log(cap / hmin) / math.log(2.0))), 1)
+        panels = depth + m_uni + (hmin is None)  # [0, cap] is a panel ungraded
+        if panels > MAX_PANELS:
+            raise ToleranceNotMet(f"mesh needs {panels} panels, exceeding "
+                                  f"MAX_PANELS={MAX_PANELS}")
+        plans.append((hmin is None, depth, m_uni))
+    lead, depths, unis = np.array(plans, dtype=int).T  # lead: the edge 0
+    sizes = lead + depths + unis + 1
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    # j: an edge's place after its mesh's cap, negative in the graded layer
+    j = np.arange(ends[-1]) - (starts + lead + depths).repeat(sizes)
+    cap = np.repeat(caps, sizes)
+    step = np.repeat((np.array(Ls) - caps) / unis, sizes)
+    edges = np.where(j < 0, np.ldexp(cap, np.minimum(j, 0)), j * step + cap)
+    edges[ends - 1] = Ls
+    edges[starts[lead > 0]] = 0.0
+    return [edges[a:b] for a, b in zip(starts.tolist(), ends.tolist())]
 
 
 def _halving_estimate(contributions, edges, starts=(0,), panel_args=()):
@@ -99,7 +124,8 @@ def _mesh_estimates(contributions, meshes, values):
     mesh in the budget alone makes one). The panel joining a mesh to the next
     takes its value and is a discarded group of its own; the kernel sums a
     panel the same wherever it sits, so a mesh's fine value and estimate are
-    the ones it has alone, bit for bit. One run's meshes are held at a time.
+    the ones it has alone, bit for bit. One run is joined and halved at a
+    time; the meshes may come as one iterable or as views of one array.
     """
     parts = []
 
@@ -216,10 +242,11 @@ def laplace_quadrature(orbit, lam, spec=DEFAULT_SPEC, *, T, decay):
     room for orbits that cancel far below M. At lam = 1, alpha = 0 and the
     default tolerance the graded layer has 59 levels. Every point keeps the
     mesh, value and gate of a one-point call, bit for bit, and its mesh is
-    checked against MAX_PANELS on its own; _mesh_estimates evaluates the
-    points in runs. Non-finite lam or T raise DomainError before orbit is
-    called. The caller chooses T so the discarded tail is below tolerance.
-    One lam returns a complex, an array of them a complex array.
+    checked against MAX_PANELS on its own; the meshes are built as one
+    array (_graded_meshes), and _mesh_estimates evaluates them in runs.
+    Non-finite lam or T raise DomainError before orbit is called. The
+    caller chooses T so the discarded tail is below tolerance. One lam
+    returns a complex, an array of them a complex array.
     """
     lams, Ts = _points(lam, complex, "lambda"), _points(T, float, "T")
     if Ts.shape not in ((), lams.shape):
@@ -245,25 +272,26 @@ def laplace_quadrature(orbit, lam, spec=DEFAULT_SPEC, *, T, decay):
         # exp(-lam s) at the nodes m -/+ h2 x of a panel, x > 0, is
         # exp(-lam m) divided or multiplied by exp(-lam h2 x): the nodes
         # are antisymmetric, so 7 complex exponentials a panel, not 12.
-        # The positive nodes' half of z holds exp(-lam h2 x) until the
-        # division has read it. A wanted panel has Re(lam) h2 <= 1/4 or
+        # The positive nodes' rows of z hold exp(-lam h2 x) until the
+        # division has read them. A wanted panel has Re(lam) h2 <= 1/4 or
         # so; a panel of negative width is a discarded join from one mesh's
         # end back to the next one's start, where -lam h2 x may overflow,
-        # so it takes lam = 0.
+        # so it takes lam = 0. The orbit gets the nodes in node order: its
+        # value at a point does not depend on the batch.
         neg_lam = np.where(h2 < 0.0, 0.0, neg_lam)
         z = np.empty(s.shape, dtype=complex)
-        pair = z[:, _HALF:]
-        np.multiply(neg_lam * h2, _NODES[_HALF:], out=pair)
+        pair = z[_HALF:]
+        np.multiply(neg_lam * h2, _NODES[_HALF:, None], out=pair)
         np.exp(pair, out=pair)
         mid = np.exp(neg_lam * m)
-        np.divide(mid, pair[:, ::-1], out=z[:, :_HALF])
+        np.divide(mid, pair[::-1], out=z[:_HALF])
         pair *= mid
         z *= np.asarray(orbit(s.ravel())).reshape(s.shape)
         return z
 
     values, est, abssum, heads = _mesh_estimates(
         lambda e, neg_lam: gauss_contributions(integrand, e, neg_lam),
-        map(_graded_mesh, Ts.tolist(), caps.tolist(), hmins.tolist()), -lams)
+        _graded_meshes(Ts.tolist(), caps.tolist(), hmins.tolist()), -lams)
     est += [M * h ** g / g for h in heads.tolist()]  # a mesh starts at its h
     _gate(values, est, 0.01 * abssum, spec,
           lambda i: f"lambda={lams[i].item()}, T={Ts[i].item()}")

@@ -31,10 +31,18 @@ def format_cell(value):
 
 
 def write_csv(path, header, rows):
+    """One line a row: a row of numbers goes through one "%.17g,...\n"
+    template, which formats a number as format_cell does; a row that the
+    template rejects (a string cell, or another length) goes cell by cell."""
+    template = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(format_cell(cell) for cell in row) + "\n")
+            row = tuple(row)
+            try:
+                fh.write(template % row)
+            except TypeError:
+                fh.write(",".join(format_cell(cell) for cell in row) + "\n")
 
 
 def summary_payload(params, config, checks):

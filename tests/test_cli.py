@@ -406,6 +406,31 @@ def test_threaded_report_equals_suites_run_in_order(tmp_path, monkeypatch):
     assert names[-1] == "hilbertian-bounded"
 
 
+def test_suites_start_longest_first_and_join_in_suite_order(tmp_path,
+                                                           monkeypatch):
+    # on one thread the suites run in start order, longest first, while
+    # their checks keep the join order in summary.json
+    from weissbench import cli
+
+    started = []
+    for attr, name in (("_suite_lorentz_closed_forms", "lorentz-closed-forms"),
+                       ("_suite_laplace_identity", "laplace-identity"),
+                       ("_suite_weiss_scan", "weiss-scan"),
+                       ("_suite_orbit", "orbit"),
+                       ("_suite_counterexample", "counterexample"),
+                       ("_suite_bessel", "bessel-check")):
+        monkeypatch.setattr(cli, attr, lambda args, outdir, name=name: (
+            started.append(name) or [check(name, 1.0, "stand-in")]))
+    monkeypatch.setattr(cli, "_WORKERS", 1)
+    assert main(["full-report", "--output-dir", str(tmp_path)]) == EXIT_OK
+    assert started == ["lorentz-closed-forms", "laplace-identity",
+                       "counterexample", "weiss-scan", "bessel-check",
+                       "orbit"]
+    assert [c["name"] for c in read_summary(str(tmp_path))["checks"]] == [
+        "lorentz-closed-forms", "laplace-identity", "weiss-scan", "orbit",
+        "counterexample", "bessel-check"]
+
+
 def test_first_domain_error_in_suite_order_exits_2(tmp_path, capsys,
                                                    monkeypatch):
     import time
@@ -531,7 +556,8 @@ def test_worker_pool_under_stress(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         runner = threading.Thread(target=lambda: results.append(
-            cli._in_order([lambda i=i: job(i) for i in range(400)])))
+            cli._in_order([lambda i=i: job(i) for i in range(400)],
+                          range(400))))
         runner.start()
         runner.join(timeout=60.0)
     finally:

@@ -430,9 +430,10 @@ def test_divergence_profile_columns(p4):
 def test_divergence_profile_matches_per_window_samples(p4, eps_list,
                                                        per_decade, tau,
                                                        monkeypatch):
-    # the orbit is evaluated once over the union of the windows' left ends;
-    # each window's step function and norms are those of its own sample,
-    # bit for bit
+    # the orbit is evaluated once on the widest window's left ends; a window
+    # whose grid is a suffix of the widest one takes its values from there,
+    # and one that is not gets its own orbit call; each window's step
+    # function and norms are those of its own sample, bit for bit
     seen = []
 
     def recording_norm(f, idx):

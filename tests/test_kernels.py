@@ -1,14 +1,18 @@
-"""The panel quadrature kernel against a per-node reference loop, and the
-one reducer, quadrature._halving_estimate, that sums its panels."""
+"""The panel quadrature kernel against a per-node reference loop and its
+former row-major formula, and the one reducer,
+quadrature._halving_estimate, that sums its panels."""
 import math
 
 import numpy as np
+import pytest
 
-from weissbench import _kernels
+from weissbench import _kernels, laplace_quadrature, quadrature
 from weissbench._kernels import (_BLOCK, gauss_contributions, pad_groups,
                                 powcos_panels)
+from weissbench.cli import _random_finite_system
 from weissbench.quadrature import (_EPS, _graded_mesh, _halving_estimate,
                                    singular_end)
+from weissbench.semigroup import orbit_callable
 
 NODES, WEIGHTS = (np.ascontiguousarray(a)
                   for a in np.polynomial.legendre.leggauss(12))
@@ -104,6 +108,96 @@ def test_panel_sums_do_not_depend_on_the_pass_size(monkeypatch):
             for got, want in zip(sums[block], sums[8192]):
                 assert got.shape == (n,)
                 assert np.array_equal(got, want)
+
+
+def row_major_contributions(f, edges, *panel_args):
+    """The kernel's former row-major formula, kept as an oracle: a pass's
+    nodes are a (panels, GAUSS_ORDER) array, a row a panel, and m, h2 and
+    each panel argument reach f as columns."""
+    out = None
+    for i in range(0, max(edges.size - 1, 1), _kernels._BLOCK):
+        n = max(min(edges.size - 1 - i, _kernels._BLOCK), 0)
+        e, *args = (pad_groups(a, n) for a in (
+            edges[i:i + _kernels._BLOCK + 1],
+            *(a[i:i + _kernels._BLOCK] for a in panel_args)))
+        m, h2 = 0.5 * (e[1:] + e[:-1])[:, None], 0.5 * np.diff(e)[:, None]
+        part = h2[:, 0] * (f(m + h2 * NODES, m, h2,
+                             *(a[:, None] for a in args)) @ WEIGHTS)
+        if out is None:
+            out = np.empty(max(edges.size - 1, 0), dtype=part.dtype)
+        out[i:i + _kernels._BLOCK] = part[:n]
+    return out
+
+
+def row_major_powcos(g, freq):
+    return lambda s, m, h2, c: \
+        np.power(c + s, g) / (c + s) * np.cos(freq * s)
+
+
+def row_major_laplace(orbit):
+    """laplace_quadrature's split-exponential integrand, row-major."""
+    def integrand(s, m, h2, neg_lam):
+        neg_lam = np.where(h2 < 0.0, 0.0, neg_lam)
+        z = np.empty(s.shape, dtype=complex)
+        pair = z[:, 6:]
+        np.multiply(neg_lam * h2, NODES[6:], out=pair)
+        np.exp(pair, out=pair)
+        mid = np.exp(neg_lam * m)
+        np.divide(mid, pair[:, ::-1], out=z[:, :6])
+        pair *= mid
+        z *= np.asarray(orbit(s.ravel())).reshape(s.shape)
+        return z
+
+    return integrand
+
+
+def laplace_integrand(orbit):
+    """The integrand laplace_quadrature hands the kernel, caught on its
+    way there in a one-point call."""
+    caught = []
+
+    def catch(f, edges, *args):
+        caught.append(f)
+        return gauss_contributions(f, edges, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quadrature, "gauss_contributions", catch)
+        laplace_quadrature(orbit, 1.0 + 2.0j, T=5.0, decay=(10.0, 0.0))
+    return caught[0]
+
+
+def test_node_major_passes_equal_the_row_major_formula():
+    # powcos_panels at one shift and at one a panel, and the Laplace
+    # integrand on an orbit (with a discarded join of negative width),
+    # equal the row-major oracle bit for bit, on sub-meshes that start at
+    # every offset mod 4 and end on either side of a pass boundary
+    rng = np.random.default_rng(11)
+    n = 2 * _BLOCK + 24
+    edges = np.concatenate(([0.0], np.cumsum(rng.uniform(1e-3, 1e-2, n))))
+    edges[_BLOCK + 5:] -= 0.5 * edges[_BLOCK + 5]  # a join panel, h2 < 0
+    shift = np.linspace(0.0, 3.0, n)
+    neg_lam = -rng.uniform(0.5, 40.0, n) * np.exp(1j * rng.uniform(-1.4,
+                                                                     1.4, n))
+    system, xi = _random_finite_system(np.random.default_rng(3))
+    orbit = orbit_callable(system, xi)
+    cases = ((lambda e, c: powcos_panels(0.25, 0.0, 3.0, e),
+              lambda e, c: row_major_contributions(
+                  row_major_powcos(0.25, 3.0), e, np.zeros(e.size - 1)),
+              shift),
+             (lambda e, c: powcos_panels(1.5, c, 7.0, e),
+              lambda e, c: row_major_contributions(
+                  row_major_powcos(1.5, 7.0), e, c), shift),
+             (lambda e, z: gauss_contributions(laplace_integrand(orbit), e, z),
+              lambda e, z: row_major_contributions(row_major_laplace(orbit),
+                                                   e, z), neg_lam))
+    for node_major, row_major, arg in cases:
+        for start in range(4):
+            for stop in (_BLOCK - 3, _BLOCK + 1, _BLOCK + 6, n):
+                e, a = edges[start:stop + 1], arg[start:stop]
+                got, want = node_major(e, a), row_major(e, a)
+                assert got.dtype == want.dtype and got.shape == (e.size - 1,)
+                assert np.array_equal(got.view(np.uint64),
+                                      want.view(np.uint64))
 
 
 def fine_panels(contributions, edges):

@@ -308,6 +308,55 @@ def test_graded_mesh_budget_counts_evaluated_panels():
             _graded_mesh(u + 2.0, 1.0, hmin)
 
 
+def linspace_mesh(L, cap, hmin):
+    """The former per-point mesh builder, kept as an oracle: the geometric
+    layer as cap times powers of 1/2, the uniform panels by np.linspace."""
+    m_uni = int(math.ceil((L - cap) / cap - 1e-12))
+    depth = 0 if hmin is None else max(int(math.ceil(
+        math.log(cap / hmin) / math.log(2.0))), 1)
+    return np.concatenate(([0.0] if hmin is None else [],
+                           cap * 0.5 ** np.arange(depth, 0, -1),
+                           np.linspace(cap, L, m_uni + 1)))
+
+
+def test_one_array_meshes_equal_the_per_point_builder():
+    # spans of 1e-100 to 1e100, 2 to 400 uniform panels, graded layers of
+    # depth 1 (hmin at or above cap/2) to over 800 levels, and one point
+    # alone, graded or not: every mesh is the oracle's, bit for bit, and a
+    # batch's meshes are consecutive views of one array
+    rng = np.random.default_rng(23)
+    for _ in range(60):
+        n = int(rng.integers(1, 40))
+        Ls = rng.uniform(1.0, 10.0, n) * 10.0 ** rng.integers(-100, 100, n)
+        caps = Ls / rng.uniform(2.0, 400.0, n)
+        hmins = np.maximum(caps * 10.0 ** -rng.uniform(-1.0, 250.0, n),
+                           1e-300)
+        hmins[::3] = caps[::3] * rng.uniform(0.5, 4.0, hmins[::3].size)
+        points = list(zip(Ls.tolist(), caps.tolist(), hmins.tolist()))
+        meshes = quadrature._graded_meshes(*zip(*points))
+        assert len(meshes) == n and len({id(m.base) for m in meshes}) == 1
+        for point, mesh in zip(points, meshes):
+            assert np.array_equal(mesh, linspace_mesh(*point))
+        for L, cap, hmin in points[:3]:
+            for h in (hmin, None):
+                assert np.array_equal(_graded_mesh(L, cap, h),
+                                      linspace_mesh(L, cap, h))
+    assert (_graded_mesh(9.0, 3.0, 3.0) == [1.5, 3.0, 6.0, 9.0]).all()
+
+
+def test_one_array_meshes_check_each_point_budget():
+    # cap 1 and a 10-level graded layer: L = u + 1 gives u + 10 panels;
+    # points 2 and 3 are over the budget, and point 2 is named by its count
+    hmin = 1.5 * 2.0**-10
+    Ls = [3.0, MAX_PANELS - 9.0, MAX_PANELS - 2.0, MAX_PANELS + 4.0, 5.0]
+    sizes = [m.size - 1 for m in quadrature._graded_meshes(
+        Ls[:2], [1.0] * 2, [hmin] * 2)]
+    assert sizes == [12, MAX_PANELS]
+    with pytest.raises(ToleranceNotMet, match=f"^mesh needs {MAX_PANELS + 7} "
+                       f"panels, exceeding MAX_PANELS={MAX_PANELS}$"):
+        quadrature._graded_meshes(Ls, [1.0] * 5, [hmin] * 5)
+
+
 def never_called(t):
     raise AssertionError("orbit evaluated on invalid input")
 
@@ -399,18 +448,18 @@ def test_runs_split_every_few_meshes_bit_for_bit(monkeypatch):
     # into runs of a few meshes; every mesh keeps its one-mesh value,
     # wherever its run starts or ends
     sizes, passes = [], []
-    graded, halving = quadrature._graded_mesh, quadrature._halving_estimate
+    graded, halving = quadrature._graded_meshes, quadrature._halving_estimate
 
-    def recorded_mesh(*args):
-        edges = graded(*args)
-        sizes.append(edges.size)
-        return edges
+    def recorded_meshes(*args):  # every mesh, one-point ones too
+        meshes = graded(*args)
+        sizes.extend(edges.size for edges in meshes)
+        return meshes
 
     def counted_pass(*args):
         passes.append(args)
         return halving(*args)
 
-    monkeypatch.setattr(quadrature, "_graded_mesh", recorded_mesh)
+    monkeypatch.setattr(quadrature, "_graded_meshes", recorded_meshes)
     monkeypatch.setattr(quadrature, "_halving_estimate", counted_pass)
     g, shifts, L = 0.25, 2.0 * math.pi * np.arange(40), 2.0 * math.pi
     system, xi = _random_finite_system(np.random.default_rng(7))
@@ -480,10 +529,12 @@ def test_laplace_meshes_take_the_one_point_expressions(monkeypatch):
     lams = mods * np.exp(1j * args)
     lams[::5] = lams[::5].real
     Ts = rng.uniform(0.1, 5.0, 200)
-    seen, real = [], quadrature._graded_mesh
-    monkeypatch.setattr(quadrature, "_graded_mesh",
-                        lambda *a: seen.append(a) or real(*a))
+    calls, real = [], quadrature._graded_meshes
+    monkeypatch.setattr(quadrature, "_graded_meshes",
+                        lambda *a: calls.append(a) or real(*a))
     laplace_quadrature(np.ones_like, lams, T=Ts, decay=(1.0, 0.0))
+    assert len(calls) == 1  # one mesh array for the call
+    seen = list(zip(*calls[0]))
     hscale = 1e-8 * quadrature.DEFAULT_SPEC.relative_tolerance  # alpha = 0
     assert seen == [(t, min(math.pi / max(abs(z.imag), 1e-300), 0.5 / z.real,
                             t / 4.0), hscale * min(t, 1.0 / abs(z)))
