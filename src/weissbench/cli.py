@@ -28,8 +28,6 @@ __all__ = ["main", "build_parser"]
 _COMMANDS = ("lorentz-norm", "orbit", "weiss-scan", "counterexample",
              "bessel-check", "full-report")
 _WORKERS = 2  # threads that run full-report's suites, the caller's included
-_LONGEST_FIRST = ("lorentz-closed-forms", "laplace-identity", "counterexample",
-                  "weiss-scan", "bessel-check", "orbit")
 
 
 def build_parser():
@@ -100,26 +98,6 @@ def _lower_bound_check(name, params, n_hi, witness):
     return _guarded(name, body)
 
 
-def _once(build):
-    """A function that calls build() once, under a lock, and then returns
-    its result, or raises what it raised, to every caller in any thread."""
-    lock, outcome = threading.Lock(), []
-
-    def get():
-        with lock:
-            if not outcome:
-                try:
-                    outcome.append((build(), None))
-                except Exception as exc:
-                    outcome.append((None, exc))
-        value, exc = outcome[0]
-        if exc is not None:
-            raise exc
-        return value
-
-    return get
-
-
 def _in_order(jobs, start):
     """Each job's result, in job order, from _WORKERS threads that each take
     the next job in start order (the job indices in the order they start)
@@ -157,7 +135,14 @@ def _in_order(jobs, start):
 
 
 # --------------------------------------------------------------- suites
-# each gets the run's arguments plus params, spec and witness() (see run)
+# each gets the run's arguments plus params, spec and witness (see run)
+def _witness(args):
+    """The run's witness, or the error its build raised, raised here."""
+    if isinstance(args.witness, WeissbenchError):
+        raise args.witness
+    return args.witness
+
+
 def _sampled_exp_norm(a):
     """The (2, 1) norm of e^(-a t) sampled at the cell midpoints of a
     1e6-step geometric grid on [1e-12, 40/a]; a helper, so each grid is
@@ -285,7 +270,7 @@ def _suite_orthonormal_model(args, outdir):
 
 
 def _suite_weiss_scan(args, outdir):
-    witness = args.witness()
+    witness = _witness(args)
     lams = semigroup.lambda_grid()
     quot = semigroup.weiss_quotient(witness.system, witness.xi,
                                     witness.x_norm, lams, tol=1e-12)
@@ -299,7 +284,7 @@ def _suite_weiss_scan(args, outdir):
 
 
 def _suite_orbit(args, outdir):
-    witness = args.witness()
+    witness = _witness(args)
     t_grid = semigroup.log_grid(args.eps_min, args.tau)
     profile = semigroup.decay_profile(witness.system, witness.xi,
                                       witness.x_norm, t_grid)
@@ -359,7 +344,7 @@ def _suite_counterexample(args, outdir):
     write_csv(os.path.join(outdir, "xi.csv"),
               ["n", "xi", "xi_asymptotic"], rows)
 
-    witness = args.witness()
+    witness = _witness(args)
     checks += _lower_bound_check("orbit-lower-bound", params, 20, witness)
 
     decades = max(2, int(math.floor(-math.log10(args.eps_min) / 2.0)))
@@ -447,26 +432,29 @@ def run(args):
     spec = QuadratureSpec(relative_tolerance=args.tol)
     params = ce.CounterexampleParams(args.q)
     outdir = _resolve_output_dir(args)  # only for a valid configuration
-    # the suites' shared inputs, built once; the witness on first use, in
-    # the guarded suite that needs it, so a failed build is its failed check
-    witness = _once(lambda: ce.witness_system(params, spec=spec))
+    # the suites' shared inputs, built once, before the threads start; a
+    # failed witness build is the failed check of each suite that reads it
+    try:
+        witness = ce.witness_system(params, spec=spec)
+    except WeissbenchError as exc:
+        witness = exc
     shared = argparse.Namespace(**vars(args), params=params, spec=spec,
                                 witness=witness)
-    suites = (("lorentz-closed-forms", _suite_lorentz_closed_forms),
-              ("laplace-identity", _suite_laplace_identity),
-              ("weiss-scan", _suite_weiss_scan),
-              ("orbit", _suite_orbit),
-              ("counterexample", _suite_counterexample),
-              ("bessel-check", _suite_bessel))
-    # suites run on _WORKERS threads and join in this order; they start
-    # longest first, so the thread freed first takes the longest suite
-    # left; the artifacts do not depend on the threads
+    # (name, start rank, suite): suites run on _WORKERS threads and join in
+    # this order; they start by rank, longest first, so the thread freed
+    # first takes the longest suite left; the artifacts do not depend on
+    # the threads
+    suites = (("lorentz-closed-forms", 0, _suite_lorentz_closed_forms),
+              ("laplace-identity", 1, _suite_laplace_identity),
+              ("weiss-scan", 3, _suite_weiss_scan),
+              ("orbit", 5, _suite_orbit),
+              ("counterexample", 2, _suite_counterexample),
+              ("bessel-check", 4, _suite_bessel))
     chosen = [s for s in suites if args.command in (s[0], "full-report")]
     jobs = [functools.partial(_guarded, f"{name}-suite",
                               functools.partial(suite, shared, outdir))
-            for name, suite in chosen]
-    start = sorted(range(len(chosen)),
-                   key=lambda i: _LONGEST_FIRST.index(chosen[i][0]))
+            for name, _, suite in chosen]
+    start = sorted(range(len(chosen)), key=lambda i: chosen[i][1])
     checks = [c for part in _in_order(jobs, start) for c in part]
     config = {"tol": args.tol, "tau": args.tau, "eps_min": args.eps_min,
               "seed": args.seed, "version": __version__}

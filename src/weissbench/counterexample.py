@@ -14,7 +14,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ._kernels import powcos_panels
-from .errors import BoundViolated, DomainError, _array, _integer, _real
+from .errors import (BoundViolated, DomainError, _Immutable, _array,
+                     _integer, _real)
 from .lorentz import StepFunction, lorentz_norm
 from .quadrature import (_EPS, DEFAULT_SPEC, _gate, _halving_estimate,
                          powcos_quadrature, singular_end,
@@ -44,7 +45,7 @@ __all__ = [
 ]
 
 
-class CounterexampleParams:
+class CounterexampleParams(_Immutable):
     """Exponents of the witness, all derived from the Lorentz index q."""
 
     __slots__ = ("q", "q_conj", "beta", "gamma")
@@ -53,14 +54,14 @@ class CounterexampleParams:
         q = _real(q, "q")
         if not 2.0 < q < math.inf:
             raise DomainError(f"q must lie in (2, inf), got {q}")
-        self.q = q
-        self.q_conj = q / (q - 1.0)
-        self.beta = 1.0 / (2.0 * self.q_conj)
-        self.gamma = 1.0 / q  # equals 1 - 2 beta, without its cancellation
-        if self.gamma - 1.0 == -1.0:  # every q >= 2^54
+        gamma = 1.0 / q  # equals 1 - 2 beta, without its cancellation
+        if gamma - 1.0 == -1.0:  # every q >= 2^54
             raise DomainError(f"q must lie below 2^54, got {q!r}: the range "
                               "the suites are run on; the witness values "
                               "grow like q and overflow far above it")
+        q_conj = q / (q - 1.0)
+        self._freeze(q=q, q_conj=q_conj, beta=1.0 / (2.0 * q_conj),
+                     gamma=gamma)
 
     def __repr__(self):
         return (f"CounterexampleParams(q={self.q!r}, beta={self.beta!r}, "
@@ -135,7 +136,7 @@ def period_table(g, kmax, spec=DEFAULT_SPEC):
     return values, estimate
 
 
-class XiTable:
+class XiTable(_Immutable):
     """Coefficients xi(0..n_max) from one period table.
 
     With u = n s the coefficient becomes (1/pi) n^(-gamma) F(n pi) where
@@ -155,9 +156,8 @@ class XiTable:
         values = np.empty(n_max + 1)
         values[0] = math.pi ** (g - 1.0) / g
         values[1:] = n ** (-g) * partial / math.pi
-        self.params = params
-        self.values = values
-        self.estimate = float(est[-1]) / math.pi
+        self._freeze(params=params, values=values,
+                     estimate=float(est[-1]) / math.pi)
 
     def __len__(self):
         return self.values.size
@@ -318,7 +318,7 @@ def orbit_lower_bound_check(params, n_range, samples_per_interval,
                             ts.size)
 
 
-class GramCache:
+class GramCache(_Immutable):
     """Gram entries g(d) by frequency difference, from one period table.
 
     Entries depend only on the frequency difference d, and for d >= 1
@@ -339,10 +339,9 @@ class GramCache:
         value = 2.0 * (scale * partial[:dmax])
         _gate(value, 2.0 * (scale * est[:dmax]), 0.02 * math.pi**g / g, spec,
               lambda i: f"Gram entry d={i + 1}")
-        self.params = params
-        self.n_basis = n_basis
-        self._nu = BasisIndexMap.frequencies(n_basis)
-        self._by_delta = np.concatenate(([2.0 * math.pi**g / g], value))
+        self._freeze(params=params, n_basis=n_basis,
+                     _nu=BasisIndexMap.frequencies(n_basis),
+                     _by_delta=np.concatenate(([2.0 * math.pi**g / g], value)))
 
     @property
     def diagonal(self):

@@ -244,7 +244,9 @@ def laplace_quadrature(orbit, lam, spec=DEFAULT_SPEC, *, T, decay):
     mesh, value and gate of a one-point call, bit for bit, and its mesh is
     checked against MAX_PANELS on its own; the meshes are built as one
     array (_graded_meshes), and _mesh_estimates evaluates them in runs.
-    Non-finite lam or T raise DomainError before orbit is called. The
+    Non-finite lam or T raise DomainError before orbit is called, and a
+    point whose h is 0 or cap/h not finite, as for alpha above about 0.94
+    at lam = 1, T = 1 and the default tolerance, ToleranceNotMet. The
     caller chooses T so the discarded tail is below tolerance. One lam
     returns a complex, an array of them a complex array.
     """
@@ -267,6 +269,14 @@ def laplace_quadrature(orbit, lam, spec=DEFAULT_SPEC, *, T, decay):
                    0.5 / lams.real, Ts / 4.0), axis=0)
     # |lam| by hypot, which rounds as abs() does; np.abs may not
     hmins = hscale * np.minimum(Ts, 1.0 / np.hypot(lams.real, lams.imag))
+    with np.errstate(divide="ignore", over="ignore"):
+        unreachable = np.flatnonzero(~(caps / hmins < math.inf))
+    if unreachable.size:  # h underflowed: no depth reaches it
+        i = unreachable[0]
+        raise ToleranceNotMet(
+            f"graded mesh cannot reach h = {hmins[i]:.3e} from cap "
+            f"{caps[i]:.3e} for lambda={lams[i].item()}, T={Ts[i].item()}, "
+            f"alpha={alpha}")
 
     def integrand(s, m, h2, neg_lam):
         # exp(-lam s) at the nodes m -/+ h2 x of a panel, x > 0, is

@@ -519,36 +519,86 @@ def test_failed_witness_build_fails_each_suite_that_needs_it(
         for name in ("weiss-scan", "orbit", "counterexample"))
 
 
-def test_worker_pool_under_stress(monkeypatch):
-    # more workers than cores, switching threads as often as possible: each
-    # job runs exactly once, results keep job order, the shared build runs
-    # once and its failure reaches every caller
-    import sys
-    import threading
+def test_witness_is_built_before_the_first_suite_starts(tmp_path,
+                                                        monkeypatch):
+    from weissbench import cli
+
+    built, started, build = [], [], cli.ce.witness_system
+
+    def witness_system(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    def suite(args, outdir):  # counts finished builds, reads the witness
+        started.append(len(built))
+        assert cli._witness(args) is built[0]
+        return [check("stand-in", 1.0, "stand-in")]
+
+    for attr in ("_suite_lorentz_closed_forms", "_suite_laplace_identity",
+                 "_suite_weiss_scan", "_suite_orbit", "_suite_counterexample",
+                 "_suite_bessel"):
+        monkeypatch.setattr(cli, attr, suite)
+    monkeypatch.setattr(cli.ce, "witness_system", witness_system)
+    assert main(["full-report", "--output-dir", str(tmp_path)]) == EXIT_OK
+    assert started == [1] * 6
+
+
+def test_witness_domain_error_exits_2_only_where_it_is_read(tmp_path, capsys,
+                                                          monkeypatch):
+    from weissbench import cli
+
+    def out_of_domain(*args, **kwargs):
+        raise DomainError("injected")
+
+    calls = counted(monkeypatch, out_of_domain)
+    assert main(["orbit", "--output-dir", str(tmp_path / "orbit")]) \
+        == EXIT_CONFIG_INVALID
+    assert "invalid configuration: injected" in capsys.readouterr().err
+    assert not (tmp_path / "orbit" / "summary.json").exists()
+    assert main(["bessel-check", "--output-dir", str(tmp_path / "bessel")]) \
+        == EXIT_OK
+    assert (tmp_path / "bessel" / "summary.json").exists()
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_no_job_starts_after_a_raise(monkeypatch, workers):
+    # job 1 starts first and runs on for 0.2 s; job 0 starts next, on the
+    # other thread if there is one, and raises: jobs 2 to 9 never start
     import time
 
     from weissbench import cli
 
-    builds = []
+    started = []
 
-    def build():  # sleeps, so other threads reach it while it runs
-        builds.append("shared")
-        time.sleep(0.01)
-        return builds.count("shared")
+    def job(i):
+        started.append(i)
+        if i == 0:
+            raise ToleranceNotMet("injected")
+        if i == 1:
+            time.sleep(0.2)
+        return i
 
-    def failing():
-        builds.append("broken")
-        time.sleep(0.01)
-        raise ToleranceNotMet("injected")
+    monkeypatch.setattr(cli, "_WORKERS", workers)
+    with pytest.raises(ToleranceNotMet, match="injected"):
+        cli._in_order([lambda i=i: job(i) for i in range(10)],
+                      [1, 0, *range(2, 10)])
+    assert sorted(started) == [0, 1]
 
-    shared, broken = cli._once(build), cli._once(failing)
+
+def test_worker_pool_under_stress(monkeypatch):
+    # more workers than cores, switching threads as often as possible: each
+    # job runs exactly once and results keep job order
+    import sys
+    import threading
+
+    from weissbench import cli
+
     runs = []
 
     def job(i):
         runs.append(i)
-        with pytest.raises(ToleranceNotMet, match="injected"):
-            broken()
-        return i, shared()
+        return i
 
     monkeypatch.setattr(cli, "_WORKERS", 8)
     results = []
@@ -563,6 +613,5 @@ def test_worker_pool_under_stress(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not runner.is_alive()
-    assert results == [[(i, 1) for i in range(400)]]
+    assert results == [list(range(400))]
     assert sorted(runs) == list(range(400))
-    assert sorted(builds) == ["broken", "shared"]

@@ -261,6 +261,32 @@ def test_laplace_decay_domain():
             laplace_quadrature(one, 1.0, T=10.0, decay=bad)
 
 
+def test_laplace_decay_near_one_raises_before_the_orbit():
+    # at lam = 1, T = 1 and tol 1e-10, h = (1e-18)^(1/(1-alpha)) is 0 from
+    # alpha = 0.9444 on, and subnormal with cap/h = 0.25/h overflowing
+    # from alpha = 0.942; alpha = 0.9415 still integrates
+    def orbit(t):
+        raise AssertionError("orbit evaluated for an unreachable h")
+
+    for alpha, h in ((0.9444, "0.000e+00"), (0.95, "0.000e+00"),
+                     (0.99, "0.000e+00"), (0.942, "4.520e-311"),
+                     (0.943, "1.624e-316"), (0.944, "3.705e-322")):
+        with pytest.raises(ToleranceNotMet) as exc:
+            laplace_quadrature(orbit, 1.0, T=1.0, decay=(1.0, alpha))
+        assert str(exc.value) == (f"graded mesh cannot reach h = {h} from cap "
+                                  "2.500e-01 for lambda=(1+0j), T=1.0, "
+                                  f"alpha={alpha}")
+    value = laplace_quadrature(np.ones_like, 1.0, T=1.0, decay=(1.0, 0.9415))
+    assert abs(value - (1.0 - math.exp(-1.0))) < 1e-9
+    # at alpha = 0.9416, h = 6.04e-309 min(T, 1/|lam|): lam = 1 and 2 reach
+    # it, and only lam = 1e-3 + 10j, whose h is ten times smaller, does not
+    laplace_quadrature(np.ones_like, [1.0, 2.0], T=1.0, decay=(1.0, 0.9416))
+    with pytest.raises(ToleranceNotMet, match=(
+            r"lambda=\(0\.001\+10j\), T=1\.0, alpha=0\.9416$")):
+        laplace_quadrature(orbit, [1.0, 1e-3 + 10j, 2.0], T=1.0,
+                           decay=(1.0, 0.9416))
+
+
 def test_laplace_graded_depth_follows_the_decay_bound():
     # lam = 1: panels cap = 1/2 wide, h = 1e-8 tol min(T, 1) = 1e-18, and the
     # graded layer has ceil(log2(cap/h)) = 59 levels; the mesh and its halving

@@ -11,7 +11,8 @@ from weissbench import (CoefficientVector, DiagonalSystem, DivergentSum,
                         orbit_observation, resolvent_observation,
                         weiss_norm_orthonormal, weiss_quotient)
 from weissbench import semigroup
-from weissbench.counterexample import CounterexampleParams, witness_system
+from weissbench.counterexample import (CounterexampleParams, GramCache,
+                                       XiTable, witness_system)
 from weissbench.semigroup import (decay_norm_orthonormal, lambda_grid,
                                   log_grid, orbit_callable, orbit_decay_bound)
 
@@ -698,22 +699,32 @@ def test_system_and_coefficients_are_immutable():
     mu, c = 4.0 ** np.arange(4), 2.0 ** np.arange(4)
     sys_ = DiagonalSystem(mu, c)
     steps = StepFunction([0.0, 1.0, 2.0], [1.0, 0.5])
+    params = CounterexampleParams(4.0)
+    table, gram = XiTable(params, 10), GramCache(params, 8)
     assert np.array_equal(sys_.mu, mu) and np.array_equal(sys_.c, c)
-    for obj, names, message in (
-            (xi, ("values", "tail_sup", "_resolvent", "other"),
-             "CoefficientVector is immutable"),
-            (sys_, ("mu", "c", "n_active", "other"),
-             "DiagonalSystem is immutable"),
-            (steps, ("breakpoints", "values", "_levels", "other"),
-             "StepFunction is immutable")):
+    objects = (
+        (xi, ("values", "tail_sup", "_resolvent", "other"),
+         "CoefficientVector is immutable"),
+        (sys_, ("mu", "c", "n_active", "other"),
+         "DiagonalSystem is immutable"),
+        (steps, ("breakpoints", "values", "_levels", "other"),
+         "StepFunction is immutable"),
+        (params, ("q", "q_conj", "beta", "gamma", "other"),
+         "CounterexampleParams is immutable"),
+        (table, ("params", "values", "estimate", "other"),
+         "XiTable is immutable"),
+        (gram, ("params", "n_basis", "_nu", "_by_delta", "other"),
+         "GramCache is immutable"))
+    for obj, names, message in objects:
         for name in names:
             with pytest.raises(AttributeError, match=f"^{message}$"):
                 setattr(obj, name, None)
         assert not hasattr(obj, "__dict__")
-    # one rule serves all three: a single __setattr__, not a copy per class
-    assert len({type(obj).__setattr__ for obj in (xi, sys_, steps)}) == 1
+    # one rule serves them all: a single __setattr__, not a copy per class
+    assert len({type(obj).__setattr__ for obj, _, _ in objects}) == 1
+    assert len(table) == 11
     for array in (xi.values, sys_.mu, sys_.c, steps.breakpoints,
-                  steps.values):
+                  steps.values, table.values, gram._nu, gram._by_delta):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 2.0

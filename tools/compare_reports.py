@@ -6,18 +6,18 @@ Runs `python -m weissbench.cli full-report` from each tree's `src/`, with
 BLAS pinned to one thread, at six configurations: the defaults, `--seed 7`,
 `--q 3`, `--q 8`, `--q 1e6` and `--q 1e9`. Artifacts go to
 OUTDIR/<configuration>/{a,b}; OUTDIR must be new or empty. Prints the line
-count of each tree's `src/weissbench/*.py` and the difference B - A, then
-each configuration's two exit codes, each run's wall time and peak RSS (from
-`os.wait4`, so a scheduling or memory change shows beside the byte check),
-and every artifact that is missing from one side or differs; for each CSV
-that differs, the number of differing cells and the largest relative
-difference between them (inf where a cell is missing or not a number).
-Then it runs one cycle of the benchmark's `endpoint_op` (q = 3, 4 and 8,
-inputs drawn from seed 1) in each tree, in a process with that tree's
-`src/` and `perfbench/` on the path, and prints whether the SHA-256 of the
-pickled outputs agree. Exits 1 on any difference, 0 when every artifact,
-exit code and output hash agree. The times are one run each, for
-orientation; `tools/bench_pairs.py` measures.
+count of each tree's `src/weissbench/*.py` and the difference B - A, in
+total and per module, then each configuration's two exit codes, each run's
+wall time and peak RSS (from `os.wait4`, so a scheduling or memory change
+shows beside the byte check), and every artifact that is missing from one
+side or differs; for each CSV that differs, the number of differing cells
+and the largest relative difference between them (inf where a cell is
+missing or not a number). Then it runs one cycle of the benchmark's
+`endpoint_op` (q = 3, 4 and 8, inputs drawn from seed 1) in each tree, in
+a process with that tree's `src/` and `perfbench/` on the path, and prints
+whether the SHA-256 of the pickled outputs agree. Exits 1 on any
+difference, 0 when every artifact, exit code and output hash agree. The
+times are one run each, for orientation; `tools/bench_pairs.py` measures.
 Standard library only; neither the package nor its tests import this
 script.
 """
@@ -42,9 +42,10 @@ CONFIGS = {
 
 
 def source_lines(tree):
-    """Lines in tree's src/weissbench/*.py, as `cat ... | wc -l` counts."""
-    return sum(p.read_bytes().count(b"\n")
-               for p in Path(tree, "src", "weissbench").glob("*.py"))
+    """{module file name: lines} of tree's src/weissbench/*.py, as `wc -l`
+    counts them."""
+    return {p.name: p.read_bytes().count(b"\n")
+            for p in Path(tree, "src", "weissbench").glob("*.py")}
 
 
 def run_report(tree, args, outdir):
@@ -128,7 +129,11 @@ def main(argv):
         sys.stderr.write(f"{out} is not empty; give a new OUTDIR\n")
         return 2
     lines = source_lines(tree_a), source_lines(tree_b)
-    print(f"src lines: {lines[0]} / {lines[1]} ({lines[1] - lines[0]:+d})")
+    total_a, total_b = (sum(side.values()) for side in lines)
+    print(f"src lines: {total_a} / {total_b} ({total_b - total_a:+d})")
+    for name in sorted(lines[0].keys() | lines[1].keys()):
+        a, b = (side.get(name, 0) for side in lines)
+        print(f"  {name}: {a} / {b} ({b - a:+d})")
     same = True
     for name, args in CONFIGS.items():
         dir_a, dir_b = out / name / "a", out / name / "b"
