@@ -15,7 +15,7 @@ import numpy as np
 
 from ._kernels import powcos_panels
 from .errors import (BoundViolated, DomainError, _Immutable, _array,
-                     _integer, _real)
+                     _integer, _items, _real)
 from .lorentz import StepFunction, lorentz_norm
 from .quadrature import (_EPS, DEFAULT_SPEC, _gate, _halving_estimate,
                          powcos_quadrature, singular_end,
@@ -227,7 +227,7 @@ def witness_system(params, n_modes=60, spec=DEFAULT_SPEC):
     and bounded by the n = 0 coefficient (the integrand loses its
     oscillation), which certifies the tail for truncation bounds.
     """
-    n_modes = _integer(n_modes, "n_modes", 2)
+    n_modes = _integer(n_modes, "n_modes", 2, 512)  # DiagonalSystem.default's
     table = XiTable(params, (n_modes + 1) // 2 + 1, spec)
     nu = np.abs(BasisIndexMap.frequencies(n_modes))
     xi = CoefficientVector(table.values[nu], tail_sup=table.values[0])
@@ -248,7 +248,7 @@ def divergence_profile(params, eps_list, tau=1.0, *, witness, per_decade=64):
     any other is evaluated on its own. An orbit value does not depend on
     its batch, so each window gets the values of a call of its own.
     """
-    eps_arr = np.array([_real(e, "eps") for e in eps_list], dtype=float)
+    eps_arr = np.array([_real(e, "eps") for e in _items(eps_list, "eps_list")])
     tau = _real(tau, "tau")
     if eps_arr.size == 0 or not np.all(np.diff(eps_arr) < 0.0):
         raise DomainError("eps_list must be strictly decreasing")
@@ -290,7 +290,8 @@ def orbit_lower_bound_check(params, n_range, samples_per_interval,
     The witness must be built for params.q, with more than n_hi active
     modes.
     """
-    n_lo, n_hi = (_integer(n_range[i], "n_range", 0) for i in (0, 1))
+    n_lo, n_hi = (_integer(n, "n_range", 0)
+                  for n in _items(n_range, "n_range", 2))
     if not n_lo <= n_hi:
         raise DomainError("n_range must be 0 <= lo <= hi")
     per = _integer(samples_per_interval, "samples_per_interval", 1)
@@ -385,7 +386,7 @@ def bessel_failure_witness(params, N_list, spec=DEFAULT_SPEC, *, gram,
     converges to the squared state norm: their ratio diverges, refuting any
     lower frame constant. gram and a given table must be built for params.q.
     """
-    sizes = [_integer(N, "N", 1) for N in N_list]
+    sizes = [_integer(N, "N", 1) for N in _items(N_list, "N_list")]
     if not sizes or any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise DomainError("N_list must be strictly increasing positive ints")
     n_max = sizes[-1]

@@ -2,6 +2,7 @@
 the immutability rule of the value objects."""
 import math
 import numbers
+from contextlib import suppress
 
 import numpy as np
 
@@ -40,26 +41,42 @@ class BoundViolated(WeissbenchError):
         self.t = t
 
 
-def _integer(value, name, low=None):
-    """value as an int: an integer or an integral float of at least low;
+def _integer(value, name, low=-math.inf, high=math.inf):
+    """value as an int: an integer or an integral float in [low, high];
     anything else (NaN, infinities, fractions) raises DomainError."""
     try:
-        ok = value == int(value) and (low is None or value >= low)
+        ok = value == int(value) and low <= value <= high
     except (TypeError, ValueError, OverflowError):
         ok = False
     if not ok:
-        bound = "" if low is None else f" >= {low}"
+        bound = " and".join(f" {op} {b}" for op, b in (
+            (">=", low), ("<=", high)) if abs(b) < math.inf)
         raise DomainError(f"{name} must be an integer{bound}, got {value!r}")
     return int(value)
 
 
 def _real(value, name):
-    """value as a float if it is a real number, else DomainError."""
+    """value as a float if it is a real number, else DomainError; an
+    integer beyond the float range becomes an infinity of its sign."""
     if type(value) is float:  # before the ABC check, which is slower
         return value
     if not isinstance(value, numbers.Real):
         raise DomainError(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _items(value, name, n=None):
+    """The items of value as a tuple, n of them when n is given (a pair:
+    n = 2); a scalar, or another count, raises DomainError."""
+    with suppress(TypeError):
+        items = tuple(value)
+        if n is None or len(items) == n:
+            return items
+    of = "" if n is None else f" of {n}"
+    raise DomainError(f"{name} must be a sequence{of}, got {value!r}")
 
 
 def _array(value, name, dtype=float):

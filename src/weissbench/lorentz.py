@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, _Immutable, _array, _real
+from .errors import DomainError, _Immutable, _array, _items, _real
 
 __all__ = [
     "LorentzIndex",
@@ -170,7 +170,7 @@ def distribution_function(f, alpha):
 
     alpha is one number; an array, even of one entry, raises DomainError.
     """
-    if np.ndim(alpha) != 0 or not alpha >= 0.0:
+    if not _real(np.asarray(alpha)[()], "alpha") >= 0.0:
         raise DomainError(f"alpha must be a number >= 0, got {alpha}")
     neg, m, shift = _level_table(f)
     return _round_dyadic(m[np.searchsorted(neg, -alpha)], shift)
@@ -221,7 +221,7 @@ def lorentz_norm(f, idx):
     same bit for bit. Raises DomainError only when the norm overflows.
     """
     if not isinstance(idx, LorentzIndex):
-        idx = LorentzIndex(*idx)
+        idx = LorentzIndex(*_items(idx, "idx", 2))
     p, q = idx.p, idx.q
     v = f.values
     m = float(np.max(v))

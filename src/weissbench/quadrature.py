@@ -2,10 +2,10 @@
 
 Meshes combine uniform panels no wider than half an oscillation period with
 a geometric grading toward an endpoint power singularity; each panel uses a
-fixed-order Gauss-Legendre rule, and the error estimate comes from comparing
-the mesh against its halving (plus the bound of the closed-form or dropped
-panel at the singular end and a roundoff floor). Estimates are conservative by
-construction: refining the mesh moves results by less than the estimate.
+fixed-order Gauss-Legendre rule, and the error estimate is the gap between
+the mesh and its halving plus a roundoff floor (and the bound of the
+closed-form or dropped panel at the singular end): a heuristic, not a
+bound, as a mesh whose halving changes little may still miss the integral.
 """
 import math
 from dataclasses import dataclass
@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import _NODES, GAUSS_ORDER, gauss_contributions, powcos_panels
-from .errors import DomainError, ToleranceNotMet, _integer, _points, _real
+from .errors import (DomainError, ToleranceNotMet, _integer, _items,
+                     _points, _real)
 
 __all__ = [
     "QuadratureSpec",
@@ -46,22 +47,15 @@ class QuadratureSpec:
 DEFAULT_SPEC = QuadratureSpec()
 
 
-def _graded_mesh(L, cap, hmin):
-    """Edges on [0, L]: uniform panels no wider than cap on [cap, L], and,
+def _graded_meshes(Ls, caps, hmins):
+    """(edges, sizes): the meshes of the points of the lists laid end to
+    end in one array built in one pass, and each mesh's edge count. A mesh
+    has edges on [0, L]: uniform panels no wider than cap on [cap, L], and,
     when hmin is not None, a geometric layer from cap down to an edge
     h <= hmin where the mesh starts: the head [0, h] is the caller's to
-    bound. The panel count is checked against MAX_PANELS before any array
-    is built.
-    """
-    mesh, = _graded_meshes([L], [cap], [hmin])
-    return mesh
-
-
-def _graded_meshes(Ls, caps, hmins):
-    """_graded_mesh(L, cap, hmin) for each point of the lists, as views
-    of one array built in one pass, after every point's panel count has
-    been checked against MAX_PANELS in order. cap <= L/2, as every caller's
-    is. Level k of a geometric layer is ldexp(cap, -k), which equals cap
+    bound. Every point's panel count is checked against MAX_PANELS, in
+    order, before any array is built. cap <= L/2, as every caller's is.
+    Level k of a geometric layer is ldexp(cap, -k), which equals cap
     0.5^k: both round cap 2^-k once, as 0.5^k is exact down to 2^-1074.
     The m uniform panels' edges are np.linspace's: j (L - cap)/m + cap,
     then L at j = m (its zero-step branch is never taken: the step is at
@@ -88,7 +82,7 @@ def _graded_meshes(Ls, caps, hmins):
     edges = np.where(j < 0, np.ldexp(cap, np.minimum(j, 0)), j * step + cap)
     edges[ends - 1] = Ls
     edges[starts[lead > 0]] = 0.0
-    return [edges[a:b] for a, b in zip(starts.tolist(), ends.tolist())]
+    return edges, sizes
 
 
 def _halving_estimate(contributions, edges, starts=(0,), panel_args=()):
@@ -116,40 +110,22 @@ def _halving_estimate(contributions, edges, starts=(0,), panel_args=()):
     return fine, np.abs(fine - coarse) + 64.0 * _EPS * abssum, abssum
 
 
-def _mesh_estimates(contributions, meshes, values):
-    """(fine value, estimate, fine abs sum, first edge) per mesh of the
-    iterable meshes, as arrays; a mesh's panels take its entry of the array
-    values, passed as contributions(edges, per-panel values). Meshes join in
-    order into runs of at most MAX_PANELS panels, one halving pass a run (a
-    mesh in the budget alone makes one). The panel joining a mesh to the next
-    takes its value and is a discarded group of its own; the kernel sums a
-    panel the same wherever it sits, so a mesh's fine value and estimate are
-    the ones it has alone, bit for bit. One run is joined and halved at a
-    time; the meshes may come as one iterable or as views of one array.
+def _mesh_estimates(contributions, edges, sizes, values):
+    """(fine value, estimate, fine abs sum, first edge) per mesh, as arrays,
+    for meshes of sizes[i] edges laid end to end in the array edges; mesh
+    i's panels take values[i], passed as contributions(edges, per-panel
+    values). One halving pass: the panel joining a mesh to the next takes
+    its value and is a discarded group of its own; the kernel sums a panel
+    the same wherever it sits, so a mesh's fine value and estimate are the
+    ones it has alone, bit for bit. No mesh, no pass.
     """
-    parts = []
-
-    def evaluate(run):
-        k = sum(part[0].size for part in parts)
-        sizes = np.array([m.size for m in run])
-        ends = np.cumsum(sizes)  # a mesh's joining panel is its end - 1
-        starts = np.c_[ends - sizes, ends - 1].ravel()[:-1]  # last: no join
-        edges = np.concatenate(run)
-        parts.append([v[::2] for v in _halving_estimate(
-            contributions, edges, starts,
-            (values[k:k + len(run)].repeat(sizes)[:-1],))]
-            + [edges[ends - sizes]])
-
-    run, panels = [], 0
-    for m in meshes:
-        if run and panels + m.size > MAX_PANELS:
-            evaluate(run)
-            run, panels = [], 0
-        run.append(m)
-        panels += m.size
-    if run:
-        evaluate(run)
-    return [np.concatenate(c) for c in zip(*parts)] or [np.empty(0)] * 4
+    if not sizes.size:
+        return [np.empty(0)] * 4
+    ends = np.cumsum(sizes)  # a mesh's joining panel is its end - 1
+    starts = np.c_[ends - sizes, ends - 1].ravel()[:-1]  # last: no join
+    fine, est, abssum = (v[::2].copy() for v in _halving_estimate(
+        contributions, edges, starts, (values.repeat(sizes)[:-1],)))
+    return fine, est, abssum, edges[ends - sizes]
 
 
 def _gate(value, estimate, floor, spec, name):
@@ -171,13 +147,13 @@ def _gate(value, estimate, floor, spec, name):
 
 
 def singular_end(g, freq, L, cap, spec=DEFAULT_SPEC):
-    """(edges, head, bound): _graded_mesh of [h, L]; over [0, h] the integral
-    of s^(g-1) cos(freq s) is head = h^g/g within bound = freq^2
+    """(edges, head, bound): the graded mesh of [h, L]; over [0, h] the
+    integral of s^(g-1) cos(freq s) is head = h^g/g within bound = freq^2
     h^(g+2)/(2 (g+2)), as cos x = 1 - 2 sin^2(x/2); bound <= 1e-4 tol cap^g/g.
     """
     target = 2e-4 * (g + 2.0) * spec.relative_tolerance * cap**g / g
     hmin = min(cap, (target / freq**2) ** (1.0 / (g + 2.0))) if freq else cap
-    edges = _graded_mesh(L, cap, hmin)
+    edges, _ = _graded_meshes([L], [cap], [hmin])
     h = float(edges[0])
     return edges, h**g / g, freq**2 * h ** (g + 2.0) / (2.0 * (g + 2.0))
 
@@ -197,10 +173,12 @@ def powcos_quadrature(g, shift, freq, L, spec=DEFAULT_SPEC):
     cap = min(L / 2.0, math.pi / freq) if freq > 0.0 else L / 2.0
     end, head, bound = (singular_end(g, freq, L, cap, spec) if zero.any()
                         else (None, 0.0, 0.0))
-    plain = None if zero.all() else _graded_mesh(L, cap, None)
+    plain = None if zero.all() else _graded_meshes([L], [cap], [None])[0]
+    meshes = [end if z else plain for z in zero.tolist()]
     fine, est, _, _ = _mesh_estimates(
         lambda e, c: powcos_panels(g, c, freq, e),
-        (end if z else plain for z in zero.tolist()), shifts.reshape(-1))
+        np.concatenate(meshes or [np.empty(0)]),
+        np.array([m.size for m in meshes], dtype=int), shifts.reshape(-1))
     value = fine + head * zero
     est = est + (bound + 4.0 * _EPS * head) * zero
     return (value.item(), est.item()) if shifts.ndim == 0 else (value, est)
@@ -243,7 +221,7 @@ def laplace_quadrature(orbit, lam, spec=DEFAULT_SPEC, *, T, decay):
     default tolerance the graded layer has 59 levels. Every point keeps the
     mesh, value and gate of a one-point call, bit for bit, and its mesh is
     checked against MAX_PANELS on its own; the meshes are built as one
-    array (_graded_meshes), and _mesh_estimates evaluates them in runs.
+    array (_graded_meshes), and _mesh_estimates halves it in one pass.
     Non-finite lam or T raise DomainError before orbit is called, and a
     point whose h is 0 or cap/h not finite, as for alpha above about 0.94
     at lam = 1, T = 1 and the default tolerance, ToleranceNotMet. The
@@ -256,10 +234,7 @@ def laplace_quadrature(orbit, lam, spec=DEFAULT_SPEC, *, T, decay):
     one = lams.ndim == 0
     lams = lams.reshape(-1)
     Ts = np.broadcast_to(Ts, lams.shape)
-    try:
-        M, alpha = (_real(v, "decay") for v in decay)
-    except (TypeError, ValueError):
-        raise DomainError("decay must be a pair (M, alpha)") from None
+    M, alpha = (_real(v, "decay") for v in _items(decay, "decay", 2))
     if not (0.0 <= M < math.inf and 0.0 <= alpha < 1.0):
         raise DomainError(
             f"decay needs finite M >= 0 and alpha in [0, 1), got {decay}")
@@ -301,7 +276,7 @@ def laplace_quadrature(orbit, lam, spec=DEFAULT_SPEC, *, T, decay):
 
     values, est, abssum, heads = _mesh_estimates(
         lambda e, neg_lam: gauss_contributions(integrand, e, neg_lam),
-        _graded_meshes(Ts.tolist(), caps.tolist(), hmins.tolist()), -lams)
+        *_graded_meshes(Ts.tolist(), caps.tolist(), hmins.tolist()), -lams)
     est += [M * h ** g / g for h in heads.tolist()]  # a mesh starts at its h
     _gate(values, est, 0.01 * abssum, spec,
           lambda i: f"lambda={lams[i].item()}, T={Ts[i].item()}")

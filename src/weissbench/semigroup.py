@@ -85,14 +85,14 @@ class DiagonalSystem(_Immutable):
 
     @classmethod
     def default(cls, n_active=64):
-        """mu_k = 4^k, c_k = 2^k."""
-        k = range(_integer(n_active, "n_active", 2))
+        """mu_k = 4^k, c_k = 2^k; n_active <= 512 (4^512 overflows)."""
+        k = range(_integer(n_active, "n_active", 2, 512))
         return cls([4.0**i for i in k], [2.0**i for i in k])
 
     @classmethod
     def sqrt_observation(cls, n_active=64):
-        """mu_k = 2^k, c_k = mu_k^(1/2)."""
-        k = range(_integer(n_active, "n_active", 2))
+        """mu_k = 2^k, c_k = 2^(k/2); n_active <= 1024 (2^1024 overflows)."""
+        k = range(_integer(n_active, "n_active", 2, 1024))
         return cls([2.0**i for i in k], [2.0 ** (0.5 * i) for i in k])
 
 

@@ -615,3 +615,21 @@ def test_worker_pool_under_stress(monkeypatch):
     assert not runner.is_alive()
     assert results == [list(range(400))]
     assert sorted(runs) == list(range(400))
+
+
+def test_seeded_suites_pass_at_ten_seeds(tmp_path):
+    # laplace-identity draws its random finite systems and hilbertian-
+    # bounded its trial vectors from --seed: every check of both suites
+    # passes at seeds 0 to 9, as at the default seed
+    from weissbench import cli
+    from weissbench.counterexample import CounterexampleParams
+    from weissbench.quadrature import DEFAULT_SPEC
+
+    params = CounterexampleParams(4.0)
+    for seed in range(10):
+        args = cli.build_parser().parse_args(["full-report", "--seed",
+                                              str(seed)])
+        args.params, args.spec = params, DEFAULT_SPEC
+        for suite in (cli._suite_laplace_identity, cli._suite_bessel):
+            failed = [c for c in suite(args, str(tmp_path)) if not c.passed]
+            assert not failed, (seed, failed)

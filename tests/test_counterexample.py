@@ -14,6 +14,7 @@ from weissbench import (BasisIndexMap, BoundViolated, CoefficientVector,
                         orbit_lower_bound_check, state_norm, witness_system,
                         xi_asymptotic, xi_coefficient)
 from weissbench import counterexample as ce
+from weissbench.lorentz import distribution_function
 from weissbench.counterexample import (_LCG_BLOCK, WitnessSystem,
                                        _lcg_uniform, envelope_norm_q,
                                        envelope_power_q, period_table,
@@ -126,6 +127,7 @@ NAN, INF = math.nan, math.inf
     lambda p, g, t: bessel_failure_witness(p, [10.5, 20], gram=g, table=t),
     lambda p, g, t: DiagonalSystem.default(n_active=2.5),
     lambda p, g, t: DiagonalSystem.default(n_active=NAN),
+    lambda p, g, t: witness_system(p, n_modes=513),
     lambda p, g, t: log_grid(0.0, 1.0),
     lambda p, g, t: log_grid(1.0, 1e-3),
     lambda p, g, t: log_grid(1e-3, INF),
@@ -139,7 +141,8 @@ NAN, INF = math.nan, math.inf
         "modes-fraction", "hilbertian-N-nan", "hilbertian-N-inf",
         "trials-fraction", "per-decade-nan", "per-decade-inf",
         "samples-fraction", "bessel-sizes-fraction", "n-active-fraction",
-        "n-active-nan", "log-grid-zero-lo", "log-grid-reversed",
+        "n-active-nan", "modes-513",
+        "log-grid-zero-lo", "log-grid-reversed",
         "log-grid-inf-hi", "log-grid-nan-lo", "log-grid-per-decade-nan",
         "log-grid-per-decade-zero", "log-grid-per-decade-fraction"])
 def test_malformed_counts_raise_domain_error(p4, gram4, table4, call):
@@ -176,13 +179,30 @@ def test_malformed_counts_raise_domain_error(p4, gram4, table4, call):
     lambda p, g: orbit_observation(*witness_system(p)[:2], "x", 1e-9),
     lambda p, g: laplace_quadrature(np.exp, 1.0, T="x", decay=(1.0, 0.0)),
     lambda p, g: laplace_quadrature(np.exp, "x", T=1.0, decay=(1.0, 0.0)),
+    lambda p, g: laplace_quadrature(np.exp, 1.0, T=1.0, decay=1.0),
+    lambda p, g: laplace_quadrature(np.exp, 1.0, T=1.0, decay=(1.0, 0, 0)),
+    lambda p, g: lorentz_norm(StepFunction([0.0, 1.0], [1.0]), (2,)),
+    lambda p, g: lorentz_norm(StepFunction([0.0, 1.0], [1.0]), 2),
+    lambda p, g: lorentz_norm(StepFunction([0.0, 1.0], [1.0]), (2, 2, 2)),
+    lambda p, g: orbit_lower_bound_check(p, 5, 2, witness=witness_system(p)),
+    lambda p, g: orbit_lower_bound_check(p, (3,), 2,
+                                         witness=witness_system(p)),
+    lambda p, g: orbit_lower_bound_check(p, (1, 2, 3), 2,
+                                         witness=witness_system(p)),
+    lambda p, g: divergence_profile(p, 1e-2, witness=witness_system(p)),
+    lambda p, g: bessel_failure_witness(p, 5, gram=g),
+    lambda p, g: distribution_function(StepFunction([0.0, 1.0], [1.0]), "1"),
 ], ids=["n-string", "n-none", "gamma-string", "q-string", "q-none",
         "p-string", "lorentz-q-none", "mod-min-zero", "mod-max-inf",
         "moduli-fraction", "seed-fraction", "tol-string", "tol-none",
         "period-table-g-string", "log-grid-lo-string", "envelope-eps-string",
         "tail-tolerance-string", "eps-string", "tail-sup-string",
         "x-norm-string", "orbit-tol-string", "tau-string", "alpha-string",
-        "orbit-t-string", "laplace-T-string", "laplace-lambda-string"])
+        "orbit-t-string", "laplace-T-string", "laplace-lambda-string",
+        "decay-scalar", "decay-triple", "lorentz-index-one",
+        "lorentz-index-scalar", "lorentz-index-triple", "n-range-scalar",
+        "n-range-one", "n-range-triple", "eps-list-scalar", "n-list-scalar",
+        "distribution-alpha-string"])
 def test_malformed_input_raises_domain_error(p4, gram4, call):
     # each raised TypeError or ValueError before
     with pytest.raises(DomainError):

@@ -10,7 +10,7 @@ from weissbench import _kernels, laplace_quadrature, quadrature
 from weissbench._kernels import (_BLOCK, gauss_contributions, pad_groups,
                                 powcos_panels)
 from weissbench.cli import _random_finite_system
-from weissbench.quadrature import (_EPS, _graded_mesh, _halving_estimate,
+from weissbench.quadrature import (_EPS, _graded_meshes, _halving_estimate,
                                    singular_end)
 from weissbench.semigroup import orbit_callable
 
@@ -237,7 +237,7 @@ def test_pairwise_sum_stays_under_the_roundoff_floor():
     lam = 1.0 + 60000.0j
     cplx = (lambda e: gauss_contributions(
         lambda s, m, h2: np.exp(-lam * s) / np.sqrt(1.0 + s), e),
-            _graded_mesh(10.0, math.pi / lam.imag, 1e-12))
+            _graded_meshes([10.0], [math.pi / lam.imag], [1e-12])[0])
     for contributions, edges in (real, cplx):
         ((fine,), _, (abssum,)), c = fine_panels(contributions, edges)
         assert c.size > 300_000

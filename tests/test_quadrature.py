@@ -21,7 +21,7 @@ from weissbench import (CoefficientVector, CounterexampleParams,
 from weissbench import quadrature
 from weissbench.cli import _laplace_lambda_points, _random_finite_system
 from weissbench.counterexample import xi_period_decomposition
-from weissbench.quadrature import (MAX_PANELS, _graded_mesh,
+from weissbench.quadrature import (MAX_PANELS, _graded_meshes,
                                    powcos_quadrature,
                                    singular_oscillatory_detail)
 from weissbench.semigroup import orbit_callable, orbit_decay_bound
@@ -132,8 +132,10 @@ def test_panel_budget_checked_before_allocation():
 
 def test_large_meshes_evaluate_in_bounded_blocks():
     # one array pass over the whole halved mesh peaked at 157 and 220 MB; the
-    # batch's meshes (about 191,000 and 127,000 panels) each pass the budget
-    # but together exceed it, so they are evaluated one after the other
+    # kernel's 1,024-panel passes bound a mesh's temporaries. The batch's
+    # meshes (about 191,000 and 127,000 panels) each pass the budget and
+    # are halved together in one pass, whose per-panel arrays grow with the
+    # batch's panel count (about 34 MB here)
     one = lambda t: np.ones_like(t)
     lams = np.array([1.0 + 60000.0j, 1.0 + 40000.0j])
     calls = (lambda: singular_oscillatory_integral(0.25, 199_000),
@@ -327,11 +329,18 @@ def test_graded_mesh_budget_counts_evaluated_panels():
     # cap = 1: L = u + 1 puts u uniform panels on [1, L]; the geometric
     # layer down to hmin = 1.5 2^-10 has 10 levels
     for hmin, u in ((None, MAX_PANELS - 1), (1.5 * 2.0**-10, MAX_PANELS - 10)):
-        edges = _graded_mesh(u + 1.0, 1.0, hmin)
+        edges = one_mesh(u + 1.0, 1.0, hmin)
         assert edges.size - 1 == MAX_PANELS
         assert edges[0] == (0.0 if hmin is None else 2.0**-10)
         with pytest.raises(ToleranceNotMet, match=f"needs {MAX_PANELS + 1} "):
-            _graded_mesh(u + 2.0, 1.0, hmin)
+            one_mesh(u + 2.0, 1.0, hmin)
+
+
+def one_mesh(L, cap, hmin):
+    """The edges of one point's mesh."""
+    edges, sizes = _graded_meshes([L], [cap], [hmin])
+    assert sizes.tolist() == [edges.size]
+    return edges
 
 
 def linspace_mesh(L, cap, hmin):
@@ -349,7 +358,7 @@ def test_one_array_meshes_equal_the_per_point_builder():
     # spans of 1e-100 to 1e100, 2 to 400 uniform panels, graded layers of
     # depth 1 (hmin at or above cap/2) to over 800 levels, and one point
     # alone, graded or not: every mesh is the oracle's, bit for bit, and a
-    # batch's meshes are consecutive views of one array
+    # batch's meshes lie end to end in one array, sizes[i] edges each
     rng = np.random.default_rng(23)
     for _ in range(60):
         n = int(rng.integers(1, 40))
@@ -359,15 +368,16 @@ def test_one_array_meshes_equal_the_per_point_builder():
                            1e-300)
         hmins[::3] = caps[::3] * rng.uniform(0.5, 4.0, hmins[::3].size)
         points = list(zip(Ls.tolist(), caps.tolist(), hmins.tolist()))
-        meshes = quadrature._graded_meshes(*zip(*points))
-        assert len(meshes) == n and len({id(m.base) for m in meshes}) == 1
+        edges, sizes = _graded_meshes(*zip(*points))
+        assert sizes.shape == (n,) and sizes.sum() == edges.size
+        meshes = np.split(edges, np.cumsum(sizes)[:-1])
         for point, mesh in zip(points, meshes):
             assert np.array_equal(mesh, linspace_mesh(*point))
         for L, cap, hmin in points[:3]:
             for h in (hmin, None):
-                assert np.array_equal(_graded_mesh(L, cap, h),
+                assert np.array_equal(one_mesh(L, cap, h),
                                       linspace_mesh(L, cap, h))
-    assert (_graded_mesh(9.0, 3.0, 3.0) == [1.5, 3.0, 6.0, 9.0]).all()
+    assert (one_mesh(9.0, 3.0, 3.0) == [1.5, 3.0, 6.0, 9.0]).all()
 
 
 def test_one_array_meshes_check_each_point_budget():
@@ -375,12 +385,12 @@ def test_one_array_meshes_check_each_point_budget():
     # points 2 and 3 are over the budget, and point 2 is named by its count
     hmin = 1.5 * 2.0**-10
     Ls = [3.0, MAX_PANELS - 9.0, MAX_PANELS - 2.0, MAX_PANELS + 4.0, 5.0]
-    sizes = [m.size - 1 for m in quadrature._graded_meshes(
-        Ls[:2], [1.0] * 2, [hmin] * 2)]
-    assert sizes == [12, MAX_PANELS]
+    edges, sizes = _graded_meshes(Ls[:2], [1.0] * 2, [hmin] * 2)
+    assert (sizes - 1).tolist() == [12, MAX_PANELS]
+    assert edges.size == 12 + MAX_PANELS + 2
     with pytest.raises(ToleranceNotMet, match=f"^mesh needs {MAX_PANELS + 7} "
                        f"panels, exceeding MAX_PANELS={MAX_PANELS}$"):
-        quadrature._graded_meshes(Ls, [1.0] * 5, [hmin] * 5)
+        _graded_meshes(Ls, [1.0] * 5, [hmin] * 5)
 
 
 def never_called(t):
@@ -469,23 +479,15 @@ def test_laplace_batch_with_large_re_lambda_t_stays_finite():
         assert same_bits(batch, singles)
 
 
-def test_runs_split_every_few_meshes_bit_for_bit(monkeypatch):
-    # a budget just above the largest single mesh splits each batched call
-    # into runs of a few meshes; every mesh keeps its one-mesh value,
-    # wherever its run starts or ends
-    sizes, passes = [], []
-    graded, halving = quadrature._graded_meshes, quadrature._halving_estimate
-
-    def recorded_meshes(*args):  # every mesh, one-point ones too
-        meshes = graded(*args)
-        sizes.extend(edges.size for edges in meshes)
-        return meshes
+def test_a_batch_is_one_pass_bit_for_bit(monkeypatch):
+    # every batched call halves its meshes in one pass; every mesh keeps its
+    # one-mesh value, wherever it sits in the batch
+    passes, halving = [], quadrature._halving_estimate
 
     def counted_pass(*args):
         passes.append(args)
         return halving(*args)
 
-    monkeypatch.setattr(quadrature, "_graded_meshes", recorded_meshes)
     monkeypatch.setattr(quadrature, "_halving_estimate", counted_pass)
     g, shifts, L = 0.25, 2.0 * math.pi * np.arange(40), 2.0 * math.pi
     system, xi = _random_finite_system(np.random.default_rng(7))
@@ -501,14 +503,11 @@ def test_runs_split_every_few_meshes_bit_for_bit(monkeypatch):
          lambda: [laplace_quadrature(orbit, z, spec, T=t, decay=decay)
                   for z, t in zip(lams.tolist(), Ts.tolist())]))
     for batch, singles in cases:
-        sizes.clear()
         want = singles()
-        monkeypatch.setattr(quadrature, "MAX_PANELS", max(sizes) + 2)
         passes.clear()
         got = batch()
-        assert 5 < len(passes) < len(want)  # some runs hold several meshes
+        assert len(passes) == 1 and len(want) > 5
         assert same_bits(got, want)
-        monkeypatch.setattr(quadrature, "MAX_PANELS", MAX_PANELS)
     # one period: shift 0 alone; no shift at all: no pass
     params = CounterexampleParams(4.0)
     assert xi_period_decomposition(1, params).tolist() == \
@@ -585,7 +584,7 @@ def test_laplace_batch_failure_names_its_point():
 
 def test_singular_detail_gate_carries_the_route_numbers():
     # at tol 1e-12 the n = 8 estimate exceeds the gate well inside the
-    # panel budget: the gate raises, not _graded_mesh
+    # panel budget: the gate raises, not _graded_meshes
     tight = QuadratureSpec(relative_tolerance=1e-12)
     value, est = powcos_quadrature(1.75, 0.0, 8.0, math.pi, tight)
     with pytest.raises(ToleranceNotMet, match=r"^estimate .* exceeds "

@@ -59,6 +59,14 @@ def test_default_rules():
     assert np.array_equal(ortho.mu, 2.0 ** np.arange(8))
     assert np.array_equal(ortho.c, [2.0 ** (0.5 * k) for k in range(8)])
     assert (sys_.n_active, ortho.n_active) == (8, 8)
+    # 4^511 and 2^1023 are finite, 4^512 and 2^1024 overflow: the largest
+    # count is accepted and the next one is a DomainError naming it
+    for rule, largest in ((DiagonalSystem.default, 512),
+                          (DiagonalSystem.sqrt_observation, 1024)):
+        assert rule(n_active=largest).n_active == largest
+        with pytest.raises(DomainError, match=f"<= {largest}, got "
+                           f"{largest + 1}$"):
+            rule(n_active=largest + 1)
 
 
 def test_coefficient_vector_validation():

@@ -3,8 +3,9 @@
     python3 tools/compare_reports.py TREE_A TREE_B OUTDIR
 
 Runs `python -m weissbench.cli full-report` from each tree's `src/`, with
-BLAS pinned to one thread, at six configurations: the defaults, `--seed 7`,
-`--q 3`, `--q 8`, `--q 1e6` and `--q 1e9`. Artifacts go to
+BLAS pinned to one thread, at twelve configurations: the defaults (seed
+42), `--seed` 0 to 4, 7 and 2147483647 (the ends of the benchmark's seed
+range [0, 2^31)), `--q 3`, `--q 8`, `--q 1e6` and `--q 1e9`. Artifacts go to
 OUTDIR/<configuration>/{a,b}; OUTDIR must be new or empty. Prints the line
 count of each tree's `src/weissbench/*.py` and the difference B - A, in
 total and per module, then each configuration's two exit codes, each run's
@@ -33,7 +34,8 @@ from pathlib import Path
 
 CONFIGS = {
     "defaults": [],
-    "seed-7": ["--seed", "7"],
+    **{f"seed-{seed}": ["--seed", str(seed)]
+       for seed in (0, 1, 2, 3, 4, 7, 2**31 - 1)},
     "q-3": ["--q", "3"],
     "q-8": ["--q", "8"],
     "q-1e6": ["--q", "1e6"],
